@@ -22,12 +22,12 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, TextIO, Union
+from typing import Iterable, List, Optional, TextIO
 
 from .bench import BENCH_MODES, DEFAULT_SEED, format_report, run_bench
 from .core import ExactEstimator, Interner
 from .fading import FadingEstimator
-from .snapshot import SnapshotError, load_snapshot, save_snapshot
+from .snapshot import Estimator, SnapshotError, load_snapshot, save_snapshot
 from .window import SlidingWindowEstimator
 
 __all__ = ["main", "run_stream", "parse_record", "RunConfig", "StreamRecord", "RunSummary"]
@@ -43,8 +43,6 @@ METRICS = ("gini", "entropy", "both")
 FORMATS = ("lines", "csv")
 
 _LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-
-Estimator = Union[SlidingWindowEstimator, FadingEstimator, ExactEstimator]
 
 
 class UsageError(Exception):

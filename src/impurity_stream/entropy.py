@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from typing import Mapping, Tuple
 
 from .core import Label, entropy_exact, plog2p, rescale_entropy
-from .gini import DeltaSet, _as_delta
+from .gini import _DRAIN_TOL, DeltaSet, _as_delta
 
 __all__ = ["EntropyState"]
-
-_DRAIN_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,14 +16,13 @@ in id order.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from .core import ClassCounts, ExactEstimator, Interner
-from .entropy import EntropyState
 from .fading import FadingEstimator
-from .gini import GiniState
 from .window import SlidingWindowEstimator
 
 __all__ = ["SnapshotError", "LoadedSnapshot", "save_snapshot", "load_snapshot"]
@@ -124,7 +123,7 @@ def load_snapshot(path: str | Path) -> LoadedSnapshot:
     interner = Interner(labels)
 
     if mode == "window":
-        estimator = _load_window(reader)
+        estimator = _load_window(reader, n_labels)
     elif mode == "fading":
         estimator = _load_fading(reader)
     else:
@@ -133,7 +132,7 @@ def load_snapshot(path: str | Path) -> LoadedSnapshot:
     return LoadedSnapshot(mode, estimator, interner, events_seen)
 
 
-def _load_window(reader: "_Reader") -> SlidingWindowEstimator:
+def _load_window(reader: "_Reader", n_labels: int) -> SlidingWindowEstimator:
     capacity = reader.int_value("capacity")
     refresh_period = reader.int_value("refresh_period")
     since_refresh = reader.int_value("events_since_refresh")
@@ -143,18 +142,22 @@ def _load_window(reader: "_Reader") -> SlidingWindowEstimator:
     n_window = reader.int_value("window")
     window = [reader.int_line("window entry") for _ in range(n_window)]
 
-    if sum(counts.values()) != n_window:
-        raise SnapshotError("window snapshot inconsistent: counts do not sum to window length")
     try:
         estimator = SlidingWindowEstimator(capacity, refresh_period)
     except ValueError as exc:
         raise SnapshotError(f"bad window snapshot: {exc}") from None
     if n_window > capacity:
         raise SnapshotError("window snapshot inconsistent: contents exceed capacity")
+    if Counter(window) != counts:
+        raise SnapshotError("window snapshot inconsistent: counts differ from window contents")
+    if any(not 0 <= class_id < n_labels for class_id in counts):
+        raise SnapshotError("window snapshot inconsistent: class id outside the label table")
+    if gini_total != n_window or ent_total != n_window:
+        raise SnapshotError("window snapshot inconsistent: stored totals differ from window length")
     estimator.window.extend(window)
     estimator.counts = counts
-    estimator.gini = GiniState(gini_total, gini_value)
-    estimator.entropy = EntropyState(ent_total, ent_value)
+    estimator.g = gini_value
+    estimator.h = ent_value
     estimator.events_since_refresh = since_refresh
     return estimator
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from collections import deque
+from math import log2
 from typing import Deque, Dict, Tuple
 
-from .core import Label
+from .core import Label, entropy_exact, gini_exact
 from .entropy import EntropyState
-from .gini import GiniState
+from .gini import _DRAIN_TOL, GiniState
 
 __all__ = ["SlidingWindowEstimator"]
 
@@ -20,6 +21,12 @@ class SlidingWindowEstimator:
     exceeds the capacity. The window holds labels only; memory is
     O(capacity + distinct classes). Callers feeding long streams typically
     pass small interned ids.
+
+    The transitions are GiniState/EntropyState inc() and dec(), inlined on
+    the plain floats ``g`` and ``h`` with the same operations in the same
+    order, so every value is bit-identical to folding the state classes.
+    Their total is always the window length, so it is not stored;
+    ``gini`` and ``entropy`` are read-only state views built on demand.
 
     ``refresh_period`` > 0 recomputes both metrics exactly from the class
     counts every that-many events (O(k)), bounding float drift on very long
@@ -38,39 +45,71 @@ class SlidingWindowEstimator:
         self.refresh_period = refresh_period
         self.window: Deque[Label] = deque()
         self.counts: Dict[Label, int] = {}
-        self.gini = GiniState()
-        self.entropy = EntropyState()
+        self.g = 0.0
+        self.h = 0.0
         self.events_since_refresh = 0
 
     def __len__(self) -> int:
         return len(self.window)
 
+    @property
+    def gini(self) -> GiniState:
+        return GiniState(float(len(self.window)), self.g)
+
+    @property
+    def entropy(self) -> EntropyState:
+        return EntropyState(float(len(self.window)), self.h)
+
     def observe(self, label: Label) -> None:
         """Slide the window forward by one labeled event."""
-        if len(self.window) >= self.capacity:
-            oldest = self.window.popleft()
-            remaining = self.counts[oldest] - 1
-            if remaining:
-                self.counts[oldest] = remaining
+        window = self.window
+        counts = self.counts
+        g = self.g
+        h = self.h
+        total = float(len(window))
+        if total >= self.capacity:
+            # dec(after): the oldest label leaves.
+            oldest = window.popleft()
+            after = counts[oldest] - 1
+            if after:
+                counts[oldest] = after
             else:
-                del self.counts[oldest]
-            self.gini = self.gini.dec(remaining)
-            self.entropy = self.entropy.dec(remaining)
-        before = self.counts.get(label, 0)
-        self.window.append(label)
-        self.counts[label] = before + 1
-        self.gini = self.gini.inc(before)
-        self.entropy = self.entropy.inc(before)
+                del counts[oldest]
+            new_total = total - 1.0
+            if new_total <= _DRAIN_TOL * total:
+                g = h = 0.0
+            else:
+                g = 1.0 - (total * total * (1.0 - g) - 2.0 * after - 1.0) / (new_total * new_total)
+                p = (after + 1.0) / total
+                q = after / total
+                inner = h + p * log2(p) - (q * log2(q) if after else 0.0)
+                h = (total / new_total) * inner + log2(new_total / total)
+            total = new_total
+        # inc(before): the new label enters.
+        before = counts.get(label, 0)
+        window.append(label)
+        counts[label] = before + 1
+        new_total = total + 1.0
+        self.g = 1.0 - (total * total * (1.0 - g) + 2.0 * before + 1.0) / (new_total * new_total)
+        if total > 0.0:
+            q = total / new_total
+            h = q * (h - log2(q))
+        else:
+            h = 0.0
+        p = (before + 1.0) / new_total
+        q = before / new_total
+        # The last term is +0.0 for a new class, which turns a -0.0 into 0.0.
+        self.h = h - p * log2(p) + (q * log2(q) if before else 0.0)
         self.events_since_refresh += 1
         if self.refresh_period and self.events_since_refresh >= self.refresh_period:
             self.refresh()
 
     def refresh(self) -> None:
         """Recompute both metrics exactly from the window's class counts."""
-        self.gini = GiniState.from_counts(self.counts)
-        self.entropy = EntropyState.from_counts(self.counts)
+        self.g = gini_exact(self.counts)
+        self.h = entropy_exact(self.counts)
         self.events_since_refresh = 0
 
     def metrics(self) -> Tuple[float, float]:
         """Current (gini, entropy), clamped for reporting; O(1)."""
-        return (self.gini.clamped, self.entropy.clamped)
+        return (min(1.0, max(0.0, self.g)), max(0.0, self.h))

@@ -231,6 +231,22 @@ class TestTraceEquivalence:
                 assert abs(ha - hb) <= 1e-9
 
 
+def _window_id_beyond_labels(lines):
+    # window [0, 1, 0] -> [0, 7, 0] with counts to match: only the id is bad.
+    lines[lines.index("1 1")] = "7 1"
+    lines[lines.index("window 3") + 2] = "7"
+
+
+def _window_histogram_differs(lines):
+    # window [0, 1, 0] -> [0, 1, 1]: same length, counts still {0: 2, 1: 1}.
+    lines[lines.index("window 3") + 3] = "1"
+
+
+def _gini_total_differs(lines):
+    at = next(i for i, line in enumerate(lines) if line.startswith("gini "))
+    lines[at] = f"gini {(5.0).hex()} {lines[at].split()[2]}"
+
+
 class TestStatePersistence:
     def _labels(self, n, k, seed):
         rng = random.Random(seed)
@@ -283,6 +299,32 @@ class TestStatePersistence:
         )
         assert code == EXIT_INPUT
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [_window_id_beyond_labels, _window_histogram_differs, _gini_total_differs],
+        ids=["id-beyond-labels", "histogram-differs", "gini-total-differs"],
+    )
+    def test_inconsistent_window_snapshot_rejected(self, cli, tmp_path, tamper):
+        state = tmp_path / "state.snap"
+        code, _, _ = cli(
+            ["run", "--mode", "window", "--window-size", "3", "--save-state", str(state)],
+            input_lines=["a", "b", "a"],
+        )
+        assert code == EXIT_OK
+        lines = state.read_text(encoding="utf-8").splitlines()
+        assert lines[lines.index("window 3") + 1 :] == ["0", "1", "0"]
+        tamper(lines)
+        state.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        code, rows, err = cli(
+            ["run", "--mode", "window", "--load-state", str(state)],
+            input_lines=["b", "a", "c", "a"],
+        )
+        assert code == EXIT_INPUT
+        assert rows == []
+        assert err.startswith("impurity-stream: error:")
+        assert err.count("\n") == 1
 
     def test_conflicting_window_size_on_resume(self, cli, tmp_path):
         state = tmp_path / "state.snap"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -126,6 +127,42 @@ class TestWindowExactness:
             gini_value, entropy_value = est.metrics()
             assert abs(gini_value - gini_exact(est.counts)) <= 1e-9
             assert abs(entropy_value - entropy_exact(est.counts)) <= 1e-9
+
+
+class TestInlinedTransitions:
+    @pytest.mark.parametrize("refresh_period", [0, 13])
+    @pytest.mark.parametrize("capacity", [1, 2, 37, 1000])
+    def test_bit_identical_to_state_fold(self, capacity, refresh_period):
+        """observe() equals folding GiniState/EntropyState inc/dec, bit for bit."""
+        rng = random.Random(capacity * 100 + refresh_period)
+        stream = rng.choices(range(60), weights=[1.0 / (r + 1) for r in range(60)], k=20_000)
+        est = SlidingWindowEstimator(capacity, refresh_period)
+        recent = deque()
+        counts = {}
+        g, h = GiniState(), EntropyState()
+        since_refresh = 0
+        for label in stream:
+            if len(recent) >= capacity:
+                oldest = recent.popleft()
+                after = counts[oldest] - 1
+                if after:
+                    counts[oldest] = after
+                else:
+                    del counts[oldest]
+                g, h = g.dec(after), h.dec(after)
+            before = counts.get(label, 0)
+            recent.append(label)
+            counts[label] = before + 1
+            g, h = g.inc(before), h.inc(before)
+            since_refresh += 1
+            if refresh_period and since_refresh >= refresh_period:
+                g, h = GiniState.from_counts(counts), EntropyState.from_counts(counts)
+                since_refresh = 0
+
+            est.observe(label)
+            for view, state in ((est.gini, g), (est.entropy, h)):
+                assert view.total.hex() == state.total.hex()
+                assert view.value.hex() == state.value.hex()
 
 
 class TestRefresh:
