@@ -30,7 +30,7 @@ from .fading import FadingEstimator
 from .snapshot import Estimator, SnapshotError, load_snapshot, save_snapshot
 from .window import SlidingWindowEstimator
 
-__all__ = ["main", "run_stream", "parse_record", "RunConfig", "StreamRecord", "RunSummary"]
+__all__ = ["main", "run_stream", "RunConfig", "RunSummary"]
 
 log = logging.getLogger("impurity_stream")
 
@@ -66,12 +66,6 @@ class RunConfig:
 
 
 @dataclass
-class StreamRecord:
-    index: int
-    label: str
-
-
-@dataclass
 class RunSummary:
     events: int
     classes: int
@@ -79,34 +73,13 @@ class RunSummary:
     entropy: float
 
 
-def parse_record(raw: str, cfg: RunConfig, index: int, line_number: int) -> StreamRecord:
-    """Extract one labeled event from an input line.
-
-    ``lines`` format takes the whole trimmed line as the label; ``csv``
-    splits on commas (no quoting) and takes the configured column. Empty
-    labels and short rows fail the run.
-    """
-    if cfg.input_format == "csv":
-        fields = raw.rstrip("\r\n").split(",")
-        if cfg.csv_column >= len(fields):
-            raise InputError(
-                f"line {line_number}: expected at least {cfg.csv_column + 1} "
-                f"comma-separated columns, got {len(fields)}"
-            )
-        label = fields[cfg.csv_column].strip()
-    else:
-        label = raw.strip()
-    if not label:
-        raise InputError(f"line {line_number}: empty label")
-    return StreamRecord(index, label)
-
-
-def _format_row(index: int, gini_value: float, entropy_value: float, metric: str) -> str:
-    if metric == "gini":
-        return f"{index}\t{gini_value:.9f}"
-    if metric == "entropy":
-        return f"{index}\t{entropy_value:.9f}"
-    return f"{index}\t{gini_value:.9f}\t{entropy_value:.9f}"
+# One row format per --metric. Every row formats (index, gini, entropy); the
+# field numbers pick the columns, so an unselected metric is never formatted.
+_ROW_FORMATS = {
+    "gini": "{0}\t{1:.9f}\n",
+    "entropy": "{0}\t{2:.9f}\n",
+    "both": "{0}\t{1:.9f}\t{2:.9f}\n",
+}
 
 
 def run_stream(
@@ -119,26 +92,48 @@ def run_stream(
 ) -> RunSummary:
     """Feed every input line to the estimator, emitting trace rows.
 
+    ``lines`` format takes the whole trimmed line as the label; ``csv``
+    splits on commas (no quoting) and takes the configured column. An empty
+    label or a short row raises InputError naming the line; rows emitted
+    before it have already been written to ``out``.
+
     One row is written after every ``emit_every``-th event (counted from the
     very start of the stream, so resumed runs keep the original cadence) and
     a final row at stream end if the last event was not already emitted.
-    Exact-mode metrics are only computed at emit points.
+    Rows go straight to ``out``, which does its own buffering. Exact-mode
+    metrics are only computed at emit points.
     """
-    events = start_index
-    last_emitted = -1
+    observe = estimator.observe
+    metrics = estimator.metrics
+    intern = interner.intern
+    write = out.write
+    row = _ROW_FORMATS[cfg.metric].format
     emit_every = cfg.emit_every
-    for line_number, raw in enumerate(lines, 1):
-        record = parse_record(raw, cfg, events, line_number)
-        estimator.observe(interner.intern(record.label))
+    csv = cfg.input_format == "csv"
+    column = cfg.csv_column
+    events = start_index
+    for raw in lines:
+        if csv:
+            fields = raw.rstrip("\r\n").split(",")
+            if column >= len(fields):
+                raise InputError(
+                    f"line {events - start_index + 1}: expected at least {column + 1} "
+                    f"comma-separated columns, got {len(fields)}"
+                )
+            label = fields[column].strip()
+        else:
+            label = raw.strip()
+        if not label:
+            raise InputError(f"line {events - start_index + 1}: empty label")
+        observe(intern(label))
         events += 1
         if events % emit_every == 0:
-            gini_value, entropy_value = estimator.metrics()
-            out.write(_format_row(record.index, gini_value, entropy_value, cfg.metric) + "\n")
-            last_emitted = record.index
-    if events > start_index and last_emitted != events - 1:
-        gini_value, entropy_value = estimator.metrics()
-        out.write(_format_row(events - 1, gini_value, entropy_value, cfg.metric) + "\n")
-    gini_value, entropy_value = estimator.metrics()
+            gini_value, entropy_value = metrics()
+            write(row(events - 1, gini_value, entropy_value))
+    if events > start_index and events % emit_every:
+        gini_value, entropy_value = metrics()
+        write(row(events - 1, gini_value, entropy_value))
+    gini_value, entropy_value = metrics()
     return RunSummary(events=events, classes=len(interner), gini=gini_value, entropy=entropy_value)
 
 

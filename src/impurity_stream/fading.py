@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Tuple
 
-from .core import Label, plog2p
+from .core import Label
 
 __all__ = ["FadingEstimator"]
 
@@ -36,26 +36,36 @@ class FadingEstimator:
         """Fold one labeled event into both faded metrics.
 
         The metric updates read the pre-event n and class count; the counts
-        advance afterwards.
+        advance afterwards. ``plog2p`` is inlined with its operations in the
+        same order, so every value is bit-identical to the recurrence.
         """
+        log2 = math.log2
+        counts = self.counts
+        alpha = self.alpha
         n = self.n
-        n_i = self.counts.get(label, 0)
+        n_i = counts.get(label, 0)
         new_n = n + 1
-        numer = n * n * (1.0 - self.alpha * self.g) + 2.0 * n_i + 1.0
+        numer = n * n * (1.0 - alpha * self.g) + 2.0 * n_i + 1.0
         self.g = 1.0 - numer / (new_n * new_n)
         if n:
             q = n / new_n
-            old_part = q * (self.alpha * self.h - math.log2(q))
+            old_part = q * (alpha * self.h - log2(q))
         else:
             old_part = 0.0
-        self.h = old_part - plog2p((n_i + 1) / new_n) + plog2p(n_i / new_n)
+        p = (n_i + 1) / new_n
+        q = n_i / new_n
+        # The last term is +0.0 for a new class, which turns a -0.0 into 0.0.
+        self.h = old_part - p * log2(p) + (q * log2(q) if n_i else 0.0)
         self.n = new_n
-        self.counts[label] = n_i + 1
+        counts[label] = n_i + 1
 
     def metrics(self) -> Tuple[float, float]:
         """Current (gini, entropy) clamped for reporting; O(1).
 
         Gini clamps into [0, 1]; entropy clamps tiny negatives to 0 but has
-        no a-priori upper bound once alpha < 1.
+        no a-priori upper bound once alpha < 1. NaN and -0.0 fail ``> 0.0``
+        and so report 0.0.
         """
-        return (min(1.0, max(0.0, self.g)), max(0.0, self.h))
+        g = self.g
+        h = self.h
+        return (g if 0.0 < g < 1.0 else (1.0 if g >= 1.0 else 0.0), h if h > 0.0 else 0.0)

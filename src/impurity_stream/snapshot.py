@@ -19,7 +19,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .core import ClassCounts, ExactEstimator, Interner
 from .fading import FadingEstimator
@@ -109,6 +109,8 @@ def load_snapshot(path: str | Path) -> LoadedSnapshot:
         raise SnapshotError(f"unknown snapshot mode {mode!r}")
 
     events_seen = reader.int_value("events")
+    if events_seen < 0:
+        raise SnapshotError(f"bad snapshot: negative event count {events_seen}")
     n_labels = reader.int_value("labels")
     labels = []
     for _ in range(n_labels):
@@ -125,9 +127,9 @@ def load_snapshot(path: str | Path) -> LoadedSnapshot:
     if mode == "window":
         estimator = _load_window(reader, n_labels)
     elif mode == "fading":
-        estimator = _load_fading(reader)
+        estimator = _load_fading(reader, n_labels)
     else:
-        estimator = _load_exact(reader)
+        estimator = _load_exact(reader, n_labels)
     reader.expect_end()
     return LoadedSnapshot(mode, estimator, interner, events_seen)
 
@@ -146,12 +148,16 @@ def _load_window(reader: "_Reader", n_labels: int) -> SlidingWindowEstimator:
         estimator = SlidingWindowEstimator(capacity, refresh_period)
     except ValueError as exc:
         raise SnapshotError(f"bad window snapshot: {exc}") from None
+    if since_refresh < 0 or (refresh_period and since_refresh >= refresh_period):
+        raise SnapshotError(
+            f"window snapshot inconsistent: events_since_refresh {since_refresh} "
+            f"outside 0 .. refresh period {refresh_period}"
+        )
     if n_window > capacity:
         raise SnapshotError("window snapshot inconsistent: contents exceed capacity")
     if Counter(window) != counts:
         raise SnapshotError("window snapshot inconsistent: counts differ from window contents")
-    if any(not 0 <= class_id < n_labels for class_id in counts):
-        raise SnapshotError("window snapshot inconsistent: class id outside the label table")
+    _check_ids("window", counts, n_labels)
     if gini_total != n_window or ent_total != n_window:
         raise SnapshotError("window snapshot inconsistent: stored totals differ from window length")
     estimator.window.extend(window)
@@ -162,7 +168,7 @@ def _load_window(reader: "_Reader", n_labels: int) -> SlidingWindowEstimator:
     return estimator
 
 
-def _load_fading(reader: "_Reader") -> FadingEstimator:
+def _load_fading(reader: "_Reader", n_labels: int) -> FadingEstimator:
     alpha = reader.float_value("alpha")
     n = reader.int_value("n")
     g = reader.float_value("g")
@@ -170,6 +176,7 @@ def _load_fading(reader: "_Reader") -> FadingEstimator:
     counts = reader.int_counts()
     if sum(counts.values()) != n:
         raise SnapshotError("fading snapshot inconsistent: counts do not sum to n")
+    _check_ids("fading", counts, n_labels)
     try:
         estimator = FadingEstimator(alpha)
     except ValueError as exc:
@@ -181,15 +188,24 @@ def _load_fading(reader: "_Reader") -> FadingEstimator:
     return estimator
 
 
-def _load_exact(reader: "_Reader") -> ExactEstimator:
+def _load_exact(reader: "_Reader", n_labels: int) -> ExactEstimator:
     n_counts = reader.int_value("counts")
     counts = ClassCounts()
     for _ in range(n_counts):
         parts = reader.line("count entry").split()
         if len(parts) != 2:
             raise SnapshotError(f"bad count entry: {' '.join(parts)!r}")
-        counts.add(_parse_int(parts[0]), _parse_hex_float(parts[1]))
+        mass = _parse_hex_float(parts[1])
+        if not mass >= 0.0:
+            raise SnapshotError(f"bad count entry: mass {parts[1]} must be >= 0")
+        counts.add(_parse_int(parts[0]), mass)
+    _check_ids("exact", counts, n_labels)
     return ExactEstimator(counts)
+
+
+def _check_ids(mode: str, class_ids: Iterable[int], n_labels: int) -> None:
+    if any(not 0 <= class_id < n_labels for class_id in class_ids):
+        raise SnapshotError(f"{mode} snapshot inconsistent: class id outside the label table")
 
 
 def _append_int_counts(lines: List[str], counts: Dict[int, int]) -> None:

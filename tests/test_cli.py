@@ -12,7 +12,19 @@ from pathlib import Path
 
 import pytest
 
-from impurity_stream.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from impurity_stream import ExactEstimator, FadingEstimator, Interner, SlidingWindowEstimator
+from impurity_stream.cli import (
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_USAGE,
+    FORMATS,
+    METRICS,
+    MODES,
+    InputError,
+    RunConfig,
+    main,
+    run_stream,
+)
 
 
 @pytest.fixture()
@@ -112,6 +124,97 @@ class TestOutputShape:
         assert code == EXIT_OK
         assert rows == []
         assert "events=0" in err
+
+
+_ESTIMATORS = {
+    "window": lambda: SlidingWindowEstimator(5, refresh_period=4),
+    "fading": lambda: FadingEstimator(0.9),
+    "exact": ExactEstimator,
+}
+
+
+def _reference_rows(mode, metric, labels, start_index, emit_every):
+    """Rows from metrics() after each event, formatted and emitted as
+    run_stream did before its loop was flattened."""
+    estimator, interner = _ESTIMATORS[mode](), Interner()
+    rows = []
+    last_emitted = -1
+    for index, label in enumerate(labels):
+        estimator.observe(interner.intern(label))
+        if index < start_index:
+            continue
+        if (index + 1) % emit_every == 0 or (index == len(labels) - 1 and last_emitted != index):
+            gini_value, entropy_value = estimator.metrics()
+            if metric == "gini":
+                row = f"{index}\t{gini_value:.9f}"
+            elif metric == "entropy":
+                row = f"{index}\t{entropy_value:.9f}"
+            else:
+                row = f"{index}\t{gini_value:.9f}\t{entropy_value:.9f}"
+            rows.append(row + "\n")
+            last_emitted = index
+    return "".join(rows), estimator.metrics()
+
+
+class TestRunStreamRows:
+    @pytest.mark.parametrize("start_index", [0, 10])
+    @pytest.mark.parametrize("emit_every", [1, 7])
+    @pytest.mark.parametrize("input_format", FORMATS)
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rows_match_old_formatting(self, mode, metric, input_format, emit_every, start_index):
+        rng = random.Random(f"{mode}-{metric}-{input_format}-{emit_every}-{start_index}")
+        labels = [f"c{rng.randrange(6)}" for _ in range(start_index + 57)]
+        if input_format == "csv":
+            lines = [
+                f"{i}, {label} ,x" + ("\r\n" if i % 3 else "\n") for i, label in enumerate(labels)
+            ]
+        else:
+            lines = [f"  {label}\t\n" for label in labels]
+        cfg = RunConfig(
+            mode=mode,
+            metric=metric,
+            emit_every=emit_every,
+            input_format=input_format,
+            csv_column=1,
+        )
+        estimator, interner = _ESTIMATORS[mode](), Interner()
+        for label in labels[:start_index]:
+            estimator.observe(interner.intern(label))
+
+        out = io.StringIO()
+        summary = run_stream(cfg, lines[start_index:], out, estimator, interner, start_index)
+
+        expected, final = _reference_rows(mode, metric, labels, start_index, emit_every)
+        assert out.getvalue() == expected
+        assert (summary.events, summary.classes) == (len(labels), len(set(labels)))
+        assert (summary.gini, summary.entropy) == final
+
+    @pytest.mark.parametrize(
+        "input_format,bad,message",
+        [
+            ("lines", "  \n", "line 4: empty label"),
+            ("csv", "7\n", "line 4: expected at least 2 comma-separated columns, got 1"),
+            ("csv", "7, ,x\n", "line 4: empty label"),
+        ],
+    )
+    def test_rows_before_bad_line_are_written(self, input_format, bad, message):
+        cfg = RunConfig(mode="fading", alpha=0.9, input_format=input_format, csv_column=1)
+        lines = ["0,a\n", "1,b\n", "2,a\n", bad, "4,b\n"]
+        if input_format == "lines":
+            lines = [line.split(",")[-1] for line in lines]
+        out = io.StringIO()
+        # Line numbers count this run's input, not the resumed event index.
+        with pytest.raises(InputError) as caught:
+            run_stream(cfg, lines, out, FadingEstimator(0.9), Interner(), start_index=10)
+        assert str(caught.value) == message
+        assert [row.split("\t")[0] for row in out.getvalue().splitlines()] == ["10", "11", "12"]
+
+    def test_cli_keeps_rows_before_bad_line(self, cli):
+        code, rows, err = cli(["run", "--mode", "exact"], input_lines=["a", "b", " ", "c"])
+        assert code == EXIT_INPUT
+        assert rows == ["0\t0.000000000\t0.000000000", "1\t0.500000000\t1.000000000"]
+        assert err == "impurity-stream: error: line 3: empty label\n"
 
 
 class TestCsvFormat:
@@ -247,6 +350,45 @@ def _gini_total_differs(lines):
     lines[at] = f"gini {(5.0).hex()} {lines[at].split()[2]}"
 
 
+def _replace_line(old, new):
+    def tamper(lines):
+        lines[lines.index(old)] = new
+
+    return tamper
+
+
+# Each case saves a state after "a b a" (ids 0, 1, 0), edits one line and
+# resumes from it; every edit must be rejected at load time.
+_TAMPERED_SNAPSHOTS = [
+    pytest.param(
+        ["fading", "--alpha", "0.9"], _replace_line("1 1", "7 1"), id="fading-id-beyond-labels"
+    ),
+    pytest.param(
+        ["exact"],
+        _replace_line(f"1 {(1.0).hex()}", f"7 {(1.0).hex()}"),
+        id="exact-id-beyond-labels",
+    ),
+    pytest.param(
+        ["exact"], _replace_line(f"0 {(2.0).hex()}", "0 -0x1.0p+1"), id="exact-negative-mass"
+    ),
+    pytest.param(
+        ["window", "--window-size", "3"],
+        _replace_line("events 3", "events -5"),
+        id="negative-events",
+    ),
+    pytest.param(
+        ["window", "--window-size", "3", "--refresh-every", "2"],
+        _replace_line("events_since_refresh 1", "events_since_refresh -1"),
+        id="negative-since-refresh",
+    ),
+    pytest.param(
+        ["window", "--window-size", "3", "--refresh-every", "2"],
+        _replace_line("events_since_refresh 1", "events_since_refresh 2"),
+        id="since-refresh-at-period",
+    ),
+]
+
+
 class TestStatePersistence:
     def _labels(self, n, k, seed):
         rng = random.Random(seed)
@@ -320,6 +462,25 @@ class TestStatePersistence:
         code, rows, err = cli(
             ["run", "--mode", "window", "--load-state", str(state)],
             input_lines=["b", "a", "c", "a"],
+        )
+        assert code == EXIT_INPUT
+        assert rows == []
+        assert err.startswith("impurity-stream: error:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode_args,tamper", _TAMPERED_SNAPSHOTS)
+    def test_tampered_snapshot_rejected(self, cli, tmp_path, mode_args, tamper):
+        state = tmp_path / "state.snap"
+        code, _, _ = cli(
+            ["run", "--mode", *mode_args, "--save-state", str(state)], input_lines=["a", "b", "a"]
+        )
+        assert code == EXIT_OK
+        lines = state.read_text(encoding="utf-8").splitlines()
+        tamper(lines)
+        state.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        code, rows, err = cli(
+            ["run", "--mode", mode_args[0], "--load-state", str(state)], input_lines=["b", "a", "c"]
         )
         assert code == EXIT_INPUT
         assert rows == []

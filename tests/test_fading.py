@@ -8,7 +8,7 @@ import random
 import pytest
 
 from conftest import bits
-from impurity_stream import EntropyState, FadingEstimator, GiniState
+from impurity_stream import EntropyState, FadingEstimator, GiniState, plog2p
 
 
 def feed(estimator, labels):
@@ -55,6 +55,44 @@ class TestObserve:
         gini_value, entropy_value = est.metrics()
         assert gini_value == pytest.approx(0.4444444444444444, abs=1e-12)
         assert entropy_value == pytest.approx(0.9182958340544896, abs=1e-12)
+
+
+class TestInlinedRecurrence:
+    @pytest.mark.parametrize("alpha", [1.0, 0.999, 0.5])
+    def test_bit_identical_to_published_recurrence(self, alpha):
+        """observe() equals the recurrence written with plog2p, bit for bit."""
+        rng = random.Random(int(alpha * 1000))
+        stream = rng.choices(range(40), weights=[1.0 / (r + 1) for r in range(40)], k=20_000)
+        est = FadingEstimator(alpha)
+        counts = {}
+        n, g, h = 0, 0.0, 0.0
+        for label in stream:
+            n_i = counts.get(label, 0)
+            new_n = n + 1
+            g = 1.0 - (n * n * (1.0 - alpha * g) + 2.0 * n_i + 1.0) / (new_n * new_n)
+            old_part = (n / new_n) * (alpha * h - math.log2(n / new_n)) if n else 0.0
+            h = old_part - plog2p((n_i + 1) / new_n) + plog2p(n_i / new_n)
+            n = new_n
+            counts[label] = n_i + 1
+
+            est.observe(label)
+            assert est.g.hex() == g.hex()
+            assert est.h.hex() == h.hex()
+        assert est.n == n
+        assert est.counts == counts
+
+    @pytest.mark.parametrize(
+        "raw",
+        [float("nan"), -0.0, 0.0, -1e-17, 1e-17, 0.25, 1.0, 1.0 + 1e-15, 7.5]
+        + [float("inf"), float("-inf")],
+    )
+    def test_clamp_matches_min_max(self, raw):
+        """metrics() clamps like min/max: NaN and -0.0 report +0.0."""
+        est = FadingEstimator(0.9)
+        est.g = est.h = raw
+        gini_value, entropy_value = est.metrics()
+        assert bits(gini_value) == bits(min(1.0, max(0.0, raw)))
+        assert bits(entropy_value) == bits(max(0.0, raw))
 
 
 class TestNoFadingReduction:
