@@ -20,7 +20,6 @@ Layers:
 """
 
 from .core import (
-    ClassCounts,
     ExactEstimator,
     Interner,
     entropy_exact,
@@ -31,15 +30,13 @@ from .core import (
 )
 from .entropy import EntropyState
 from .fading import FadingEstimator
-from .gini import DeltaSet, GiniState
+from .gini import GiniState
 from .snapshot import LoadedSnapshot, SnapshotError, load_snapshot, save_snapshot
 from .window import SlidingWindowEstimator
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassCounts",
-    "DeltaSet",
     "EntropyState",
     "ExactEstimator",
     "FadingEstimator",

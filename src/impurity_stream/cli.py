@@ -22,12 +22,12 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, TextIO
+from typing import Iterable, Iterator, List, Optional, TextIO
 
 from .bench import BENCH_MODES, DEFAULT_SEED, format_report, run_bench
 from .core import ExactEstimator, Interner
 from .fading import FadingEstimator
-from .snapshot import Estimator, SnapshotError, load_snapshot, save_snapshot
+from .snapshot import Estimator, SnapshotError, load_snapshot, write_snapshot
 from .window import SlidingWindowEstimator
 
 __all__ = ["main", "run_stream", "RunConfig", "RunSummary"]
@@ -287,6 +287,22 @@ def _check_resumed_config(args: argparse.Namespace, estimator: Estimator) -> Non
             )
 
 
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A new file ``<path>.tmp-<pid>`` that replaces ``path`` when the block
+    succeeds and is removed when it fails."""
+    temp = f"{path}.tmp-{os.getpid()}"
+    out = open(temp, "x", encoding="utf-8", newline="\n")
+    try:
+        yield out
+        out.close()
+        os.replace(temp, path)
+    except BaseException:
+        out.close()
+        os.remove(temp)
+        raise
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _validate_run_args(args)
     if args.load_state is not None:
@@ -307,6 +323,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     log.debug("config: %s", cfg)
 
     with contextlib.ExitStack() as stack:
+        if args.save_state is not None:
+            # Opened before any input is read, so an unwritable path fails first.
+            state_out = stack.enter_context(_replacing(args.save_state))
         if args.input == "-":
             lines: Iterable[str] = sys.stdin
         else:
@@ -317,9 +336,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             out = stack.enter_context(open(args.output, "w", encoding="utf-8", newline="\n"))
         summary = run_stream(cfg, lines, out, estimator, interner, start_index)
         out.flush()
+        if args.save_state is not None:
+            write_snapshot(state_out, cfg.mode, estimator, interner, summary.events)
 
     if args.save_state is not None:
-        save_snapshot(args.save_state, cfg.mode, estimator, interner, summary.events)
         log.debug("saved %s state to %s", cfg.mode, args.save_state)
     log.info(
         "events=%d distinct_classes=%d gini=%.9f entropy=%.9f",

@@ -17,11 +17,10 @@ Empty samples (S = 0) have both metrics defined as 0, and terms of the form
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Tuple
 
 __all__ = [
     "Label",
-    "ClassCounts",
     "Interner",
     "ExactEstimator",
     "gini_exact",
@@ -40,7 +39,7 @@ def plog2p(p: float) -> float:
     return p * math.log2(p) if p > 0.0 else 0.0
 
 
-def gini_exact(counts: Mapping[Label, float] | "ClassCounts") -> float:
+def gini_exact(counts: Mapping[Label, float]) -> float:
     """Gini index of a count vector, recomputed from scratch.
 
     Accepts any mapping from class label to nonnegative mass. Returns 0 for
@@ -53,7 +52,7 @@ def gini_exact(counts: Mapping[Label, float] | "ClassCounts") -> float:
     return 1.0 - sum(v * v for v in values) / (total * total)
 
 
-def entropy_exact(counts: Mapping[Label, float] | "ClassCounts") -> float:
+def entropy_exact(counts: Mapping[Label, float]) -> float:
     """Shannon entropy (bits) of a count vector, recomputed from scratch."""
     values = counts.values()
     total = sum(values)
@@ -95,89 +94,6 @@ def rescale_entropy(h: float, total: float, added_mass: float) -> float:
     return q * (h - math.log2(q))
 
 
-class ClassCounts:
-    """Per-class nonnegative masses with a cached total.
-
-    Zero-mass classes are never stored. Masses are reals rather than ints so
-    that unit-count streams and arbitrary-mass updates share one type.
-    """
-
-    __slots__ = ("_counts", "_total")
-
-    def __init__(self, counts: Mapping[Label, float] | None = None) -> None:
-        self._counts: Dict[Label, float] = {}
-        self._total = 0.0
-        if counts:
-            for label, mass in counts.items():
-                self.add(label, mass)
-
-    @property
-    def total(self) -> float:
-        return self._total
-
-    def add(self, label: Label, mass: float = 1.0) -> None:
-        """Add mass to a class (creating it on first sight)."""
-        if mass < 0.0:
-            raise ValueError("mass must be nonnegative")
-        if mass == 0.0:
-            return
-        self._counts[label] = self._counts.get(label, 0.0) + mass
-        self._total += mass
-
-    def remove(self, label: Label, mass: float = 1.0) -> None:
-        """Remove mass from a class; the class disappears when emptied."""
-        if mass <= 0.0:
-            raise ValueError("mass must be positive")
-        current = self._counts.get(label)
-        if current is None:
-            raise KeyError(label)
-        if mass > current:
-            raise ValueError(f"cannot remove {mass} from class with mass {current}")
-        remaining = current - mass
-        if remaining > 0.0:
-            self._counts[label] = remaining
-        else:
-            del self._counts[label]
-        self._total -= mass
-        if not self._counts:
-            self._total = 0.0
-
-    def get(self, label: Label, default: float = 0.0) -> float:
-        return self._counts.get(label, default)
-
-    def as_dict(self) -> Dict[Label, float]:
-        return dict(self._counts)
-
-    def items(self):
-        return self._counts.items()
-
-    def values(self):
-        return self._counts.values()
-
-    def keys(self):
-        return self._counts.keys()
-
-    def __getitem__(self, label: Label) -> float:
-        return self._counts[label]
-
-    def __contains__(self, label: Label) -> bool:
-        return label in self._counts
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def __iter__(self) -> Iterator[Label]:
-        return iter(self._counts)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ClassCounts):
-            return self._counts == other._counts
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"ClassCounts({self._counts!r})"
-
-
 class Interner:
     """Dense integer ids for string labels, assigned on first sight.
 
@@ -189,10 +105,8 @@ class Interner:
     __slots__ = ("_ids", "_labels")
 
     def __init__(self, labels: Iterable[str] = ()) -> None:
-        self._ids: Dict[str, int] = {}
-        self._labels: list[str] = []
-        for label in labels:
-            self.intern(label)
+        self._labels: list[str] = list(dict.fromkeys(labels))
+        self._ids: Dict[str, int] = {label: i for i, label in enumerate(self._labels)}
 
     def intern(self, label: str) -> int:
         """Return the id for a label, allocating the next dense id if new."""
@@ -220,6 +134,53 @@ class Interner:
         return f"Interner({len(self._labels)} labels)"
 
 
+def state_fields(state: Mapping[str, object], **kinds: type) -> List[object]:
+    """The values of an estimator's state dict, in the order of ``kinds``.
+
+    ``kinds`` maps each field name to int, float or list. The names must
+    match exactly. An int, and every element of a list, must be an int >= 0;
+    a float must be finite. Raises ValueError otherwise.
+    """
+    extra = sorted(state.keys() - kinds.keys())
+    missing = [name for name in kinds if name not in state]
+    if extra or missing:
+        raise ValueError(f"unexpected field {extra[0]!r}" if extra else f"missing field {missing[0]!r}")
+    values = []
+    for name, kind in kinds.items():
+        value = state[name]
+        if type(value) is not kind:
+            raise ValueError(f"{name} must be of type {kind.__name__}")
+        if kind is float:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+        elif kind is int:
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
+        elif not set(map(type, value)) <= {int} or min(value, default=0) < 0:
+            raise ValueError(f"{name} must hold ints >= 0")
+        values.append(value)
+    return values
+
+
+def counts_by_id(counts: Mapping[int, int]) -> List[int]:
+    """Class counts as a list indexed by interned class id, 0 for an absent id."""
+    by_id = [0] * (max(counts, default=-1) + 1)
+    for class_id, count in counts.items():
+        by_id[class_id] = count
+    return by_id
+
+
+def counts_from_ids(by_id: List[int], events: int, n_labels: int) -> Dict[int, int]:
+    """Inverse of counts_by_id; ValueError unless ``events`` events over
+    ``n_labels`` labels can give these counts."""
+    if len(by_id) > n_labels:
+        raise ValueError(f"{len(by_id)} counts for {n_labels} labels")
+    total = sum(by_id)
+    if total != events:
+        raise ValueError(f"the counts sum to {total}, not to the {events} events seen")
+    return {class_id: count for class_id, count in enumerate(by_id) if count}
+
+
 class ExactEstimator:
     """Reference stream estimator: unbounded counts, brute-force metrics.
 
@@ -230,11 +191,25 @@ class ExactEstimator:
 
     __slots__ = ("counts",)
 
-    def __init__(self, counts: ClassCounts | None = None) -> None:
-        self.counts = counts if counts is not None else ClassCounts()
+    def __init__(self) -> None:
+        self.counts: Dict[Label, int] = {}
 
     def observe(self, label: Label) -> None:
-        self.counts.add(label, 1.0)
+        counts = self.counts
+        counts[label] = counts.get(label, 0) + 1
 
     def metrics(self) -> Tuple[float, float]:
         return (gini_exact(self.counts), entropy_exact(self.counts))
+
+    def state(self) -> Dict[str, object]:
+        """The fields that restore this estimator; see ``snapshot``."""
+        return {"counts": counts_by_id(self.counts)}
+
+    @classmethod
+    def from_state(cls, state: Mapping[str, object], events: int, n_labels: int) -> "ExactEstimator":
+        """Rebuild an estimator from state() after ``events`` events over
+        ``n_labels`` labels; ValueError if no run reaches that state."""
+        (by_id,) = state_fields(state, counts=list)
+        estimator = cls()
+        estimator.counts = counts_from_ids(by_id, events, n_labels)
+        return estimator

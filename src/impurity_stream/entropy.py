@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Tuple
 
 from .core import Label, entropy_exact, plog2p, rescale_entropy
-from .gini import _DRAIN_TOL, DeltaSet, _as_delta
+from .gini import _DRAIN_TOL
 
 __all__ = ["EntropyState"]
 
@@ -65,19 +65,20 @@ class EntropyState:
         )
         return EntropyState(new_total, value)
 
-    def batch_increase(self, delta: DeltaSet | Mapping[Label, Tuple[float, float]]) -> "EntropyState":
+    def batch_increase(self, delta: Mapping[Label, Tuple[float, float]]) -> "EntropyState":
         """Grow several existing classes at once; O(#changed classes).
 
-        Every entry's current mass must be strictly positive; a class not
-        yet in the sample enters via append() instead.
+        ``delta`` maps each class to its current mass x > 0 and its increase
+        r > 0; a class not yet in the sample enters via append() instead.
         """
-        delta = _as_delta(delta)
         if not delta:
             return self
         increase = 0.0
         for current, r in delta.values():
             if current <= 0.0:
                 raise ValueError("batch increase requires existing (positive) class masses")
+            if r <= 0.0:
+                raise ValueError("increase must be positive")
             increase += r
         new_total = self.total + increase
         value = rescale_entropy(self.value, self.total, increase)

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Dict, Mapping, Tuple
 
-from .core import Label
+from .core import Label, counts_by_id, counts_from_ids, state_fields
 
 __all__ = ["FadingEstimator"]
 
@@ -69,3 +69,22 @@ class FadingEstimator:
         g = self.g
         h = self.h
         return (g if 0.0 < g < 1.0 else (1.0 if g >= 1.0 else 0.0), h if h > 0.0 else 0.0)
+
+    def state(self) -> Dict[str, object]:
+        """The fields that restore this estimator; see ``snapshot``.
+
+        ``n`` is not among them: it is the sum of the counts.
+        """
+        return {"alpha": float(self.alpha), "g": self.g, "h": self.h, "counts": counts_by_id(self.counts)}
+
+    @classmethod
+    def from_state(cls, state: Mapping[str, object], events: int, n_labels: int) -> "FadingEstimator":
+        """Rebuild an estimator from state() after ``events`` events over
+        ``n_labels`` labels; ValueError if no run reaches that state."""
+        alpha, g, h, by_id = state_fields(state, alpha=float, g=float, h=float, counts=list)
+        estimator = cls(alpha)
+        estimator.counts = counts_from_ids(by_id, events, n_labels)
+        estimator.n = events
+        estimator.g = g
+        estimator.h = h
+        return estimator

@@ -19,66 +19,16 @@ return new states and never mutate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Mapping, Tuple
 
 from .core import Label, gini_exact, sum_squares
 
-__all__ = ["GiniState", "DeltaSet"]
+__all__ = ["GiniState"]
 
 # Relative slack when deciding whether a float total has been fully drained;
 # protects unit-exact streams from spurious division-by-zero after long
 # float-mass update chains.
 _DRAIN_TOL = 1e-9
-
-
-class DeltaSet:
-    """Pending per-class increases: label -> (current mass, increase).
-
-    Increases must be strictly positive. Current masses may be zero for
-    classes not yet in the sample; Gini updates accept that, entropy updates
-    do not (append the class instead).
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Mapping[Label, Tuple[float, float]] | None = None) -> None:
-        self._entries: Dict[Label, Tuple[float, float]] = {}
-        if entries:
-            for label, (current, increase) in entries.items():
-                self.add(label, current, increase)
-
-    def add(self, label: Label, current: float, increase: float) -> None:
-        if current < 0.0:
-            raise ValueError("current mass must be nonnegative")
-        if increase <= 0.0:
-            raise ValueError("increase must be positive")
-        self._entries[label] = (current, increase)
-
-    @property
-    def total_increase(self) -> float:
-        return sum(increase for _, increase in self._entries.values())
-
-    def items(self):
-        return self._entries.items()
-
-    def values(self):
-        return self._entries.values()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __iter__(self) -> Iterator[Label]:
-        return iter(self._entries)
-
-    def __repr__(self) -> str:
-        return f"DeltaSet({self._entries!r})"
-
-
-def _as_delta(delta: DeltaSet | Mapping[Label, Tuple[float, float]]) -> DeltaSet:
-    return delta if isinstance(delta, DeltaSet) else DeltaSet(delta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,18 +56,22 @@ class GiniState:
         ssq = sum_squares(self.total, self.value) + x * x
         return GiniState(new_total, 1.0 - ssq / (new_total * new_total))
 
-    def batch_increase(self, delta: DeltaSet | Mapping[Label, Tuple[float, float]]) -> "GiniState":
-        """Grow several existing classes at once; O(#changed classes).
+    def batch_increase(self, delta: Mapping[Label, Tuple[float, float]]) -> "GiniState":
+        """Grow several classes at once; O(#changed classes).
 
-        Each entry supplies the class's current mass x and its increase r;
-        the squared-mass sum shifts by 2*x*r + r^2 per entry.
+        ``delta`` maps each class to its current mass x >= 0 (0 for a class
+        not yet in the sample) and its increase r > 0; the squared-mass sum
+        shifts by 2*x*r + r^2 per entry.
         """
-        delta = _as_delta(delta)
         if not delta:
             return self
         shift = 0.0
         increase = 0.0
         for current, r in delta.values():
+            if current < 0.0:
+                raise ValueError("current mass must be nonnegative")
+            if r <= 0.0:
+                raise ValueError("increase must be positive")
             shift += 2.0 * current * r + r * r
             increase += r
         new_total = self.total + increase

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from math import log2
-from typing import Deque, Dict, Tuple
+from typing import Deque, Dict, Mapping, Tuple
 
-from .core import Label, entropy_exact, gini_exact
-from .entropy import EntropyState
-from .gini import _DRAIN_TOL, GiniState
+from .core import Label, entropy_exact, gini_exact, state_fields
+from .gini import _DRAIN_TOL
 
 __all__ = ["SlidingWindowEstimator"]
 
@@ -25,8 +24,7 @@ class SlidingWindowEstimator:
     The transitions are GiniState/EntropyState inc() and dec(), inlined on
     the plain floats ``g`` and ``h`` with the same operations in the same
     order, so every value is bit-identical to folding the state classes.
-    Their total is always the window length, so it is not stored;
-    ``gini`` and ``entropy`` are read-only state views built on demand.
+    Their total is always the window length, so it is not stored.
 
     ``refresh_period`` > 0 recomputes both metrics exactly from the class
     counts every that-many events (O(k)), bounding float drift on very long
@@ -51,14 +49,6 @@ class SlidingWindowEstimator:
 
     def __len__(self) -> int:
         return len(self.window)
-
-    @property
-    def gini(self) -> GiniState:
-        return GiniState(float(len(self.window)), self.g)
-
-    @property
-    def entropy(self) -> EntropyState:
-        return EntropyState(float(len(self.window)), self.h)
 
     def observe(self, label: Label) -> None:
         """Slide the window forward by one labeled event."""
@@ -113,3 +103,56 @@ class SlidingWindowEstimator:
     def metrics(self) -> Tuple[float, float]:
         """Current (gini, entropy), clamped for reporting; O(1)."""
         return (min(1.0, max(0.0, self.g)), max(0.0, self.h))
+
+    def state(self) -> Dict[str, object]:
+        """The fields that restore this estimator; see ``snapshot``.
+
+        The counts follow from ``window``. ``classes`` keeps the order in
+        which ``counts`` holds the classes, because refresh() sums in it.
+        """
+        return {
+            "capacity": self.capacity,
+            "refresh_period": self.refresh_period,
+            "events_since_refresh": self.events_since_refresh,
+            "g": self.g,
+            "h": self.h,
+            "window": list(self.window),
+            "classes": list(self.counts),
+        }
+
+    @classmethod
+    def from_state(
+        cls, state: Mapping[str, object], events: int, n_labels: int
+    ) -> "SlidingWindowEstimator":
+        """Rebuild an estimator from state() after ``events`` events over
+        ``n_labels`` labels; ValueError if no run reaches that state."""
+        capacity, period, since, g, h, window, classes = state_fields(
+            state,
+            capacity=int,
+            refresh_period=int,
+            events_since_refresh=int,
+            g=float,
+            h=float,
+            window=list,
+            classes=list,
+        )
+        estimator = cls(capacity, period)
+        if period and since >= period:
+            raise ValueError(f"events_since_refresh {since} is not below the refresh period {period}")
+        if len(window) > min(capacity, events):
+            raise ValueError(
+                f"{len(window)} events in the window exceed its capacity {capacity} "
+                f"or the {events} events seen"
+            )
+        tally = Counter(window)
+        counts = {class_id: tally[class_id] for class_id in classes}
+        if len(counts) != len(classes) or counts.keys() != tally.keys():
+            raise ValueError("classes inconsistent with the window: each of its classes must be listed once")
+        if max(classes, default=-1) >= n_labels:
+            raise ValueError("class id outside the label table")
+        estimator.window.extend(window)
+        estimator.counts = counts
+        estimator.g = g
+        estimator.h = h
+        estimator.events_since_refresh = since
+        return estimator

@@ -335,19 +335,14 @@ class TestTraceEquivalence:
 
 
 def _window_id_beyond_labels(lines):
-    # window [0, 1, 0] -> [0, 7, 0] with counts to match: only the id is bad.
-    lines[lines.index("1 1")] = "7 1"
-    lines[lines.index("window 3") + 2] = "7"
+    # window [0, 1, 0] -> [0, 7, 0] with its class list to match: only the id is bad.
+    lines[lines.index("window [0,1,0]")] = "window [0,7,0]"
+    lines[lines.index("classes [0,1]")] = "classes [0,7]"
 
 
 def _window_histogram_differs(lines):
-    # window [0, 1, 0] -> [0, 1, 1]: same length, counts still {0: 2, 1: 1}.
-    lines[lines.index("window 3") + 3] = "1"
-
-
-def _gini_total_differs(lines):
-    at = next(i for i, line in enumerate(lines) if line.startswith("gini "))
-    lines[at] = f"gini {(5.0).hex()} {lines[at].split()[2]}"
+    # window [0, 1, 0] -> [0, 0, 0]: class 1 is still listed but left the window.
+    lines[lines.index("window [0,1,0]")] = "window [0,0,0]"
 
 
 def _replace_line(old, new):
@@ -357,20 +352,28 @@ def _replace_line(old, new):
     return tamper
 
 
+def _replace_field(key, value):
+    def tamper(lines):
+        at = next(i for i, line in enumerate(lines) if line.startswith(key + " "))
+        lines[at] = f"{key} {value}"
+
+    return tamper
+
+
 # Each case saves a state after "a b a" (ids 0, 1, 0), edits one line and
 # resumes from it; every edit must be rejected at load time.
 _TAMPERED_SNAPSHOTS = [
     pytest.param(
-        ["fading", "--alpha", "0.9"], _replace_line("1 1", "7 1"), id="fading-id-beyond-labels"
+        ["fading", "--alpha", "0.9"],
+        _replace_line("counts [2,1]", "counts [2,0,0,0,0,0,0,1]"),
+        id="fading-id-beyond-labels",
     ),
     pytest.param(
         ["exact"],
-        _replace_line(f"1 {(1.0).hex()}", f"7 {(1.0).hex()}"),
+        _replace_line("counts [2,1]", "counts [2,0,0,0,0,0,0,1]"),
         id="exact-id-beyond-labels",
     ),
-    pytest.param(
-        ["exact"], _replace_line(f"0 {(2.0).hex()}", "0 -0x1.0p+1"), id="exact-negative-mass"
-    ),
+    pytest.param(["exact"], _replace_line("counts [2,1]", "counts [-1,4]"), id="exact-negative-mass"),
     pytest.param(
         ["window", "--window-size", "3"],
         _replace_line("events 3", "events -5"),
@@ -385,6 +388,17 @@ _TAMPERED_SNAPSHOTS = [
         ["window", "--window-size", "3", "--refresh-every", "2"],
         _replace_line("events_since_refresh 1", "events_since_refresh 2"),
         id="since-refresh-at-period",
+    ),
+    # Non-finite floats: a NaN g would read as Gini 0 from then on.
+    pytest.param(["fading", "--alpha", "0.9"], _replace_field("g", "nan"), id="fading-g-nan"),
+    pytest.param(["window", "--window-size", "3"], _replace_field("h", "inf"), id="window-h-inf"),
+    # The event count must agree with the estimator's own count.
+    pytest.param(
+        ["fading", "--alpha", "0.9"], _replace_line("events 3", "events 100"), id="fading-events-above-n"
+    ),
+    pytest.param(["exact"], _replace_line("events 3", "events 2"), id="exact-events-below-counts"),
+    pytest.param(
+        ["window", "--window-size", "3"], _replace_line("events 3", "events 1"), id="window-events-below-length"
     ),
 ]
 
@@ -403,7 +417,7 @@ class TestStatePersistence:
         ],
     )
     def test_resume_equals_uninterrupted(self, cli, tmp_path, mode, extra):
-        labels = self._labels(400, 6, seed=hash(mode) % 1000)
+        labels = self._labels(400, 6, seed={"window": 101, "fading": 202, "exact": 303}[mode])
         state = tmp_path / "state.snap"
 
         code, full_rows, _ = cli(["run", "--mode", mode] + extra, input_lines=labels)
@@ -444,8 +458,8 @@ class TestStatePersistence:
 
     @pytest.mark.parametrize(
         "tamper",
-        [_window_id_beyond_labels, _window_histogram_differs, _gini_total_differs],
-        ids=["id-beyond-labels", "histogram-differs", "gini-total-differs"],
+        [_window_id_beyond_labels, _window_histogram_differs],
+        ids=["id-beyond-labels", "histogram-differs"],
     )
     def test_inconsistent_window_snapshot_rejected(self, cli, tmp_path, tamper):
         state = tmp_path / "state.snap"
@@ -455,7 +469,7 @@ class TestStatePersistence:
         )
         assert code == EXIT_OK
         lines = state.read_text(encoding="utf-8").splitlines()
-        assert lines[lines.index("window 3") + 1 :] == ["0", "1", "0"]
+        assert "window [0,1,0]" in lines
         tamper(lines)
         state.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -486,6 +500,38 @@ class TestStatePersistence:
         assert rows == []
         assert err.startswith("impurity-stream: error:")
         assert err.count("\n") == 1
+
+    def test_version_1_state_rejected(self, cli, tmp_path):
+        state = tmp_path / "state.snap"
+        state.write_text(
+            "impurity-stream-snapshot 1 exact\nevents 1\nlabels 1\n\"a\"\ncounts 1\n0 0x1.0000000000000p+0\n",
+            encoding="utf-8",
+        )
+        code, rows, err = cli(["run", "--mode", "exact", "--load-state", str(state)], input_lines=["a"])
+        assert code == EXIT_INPUT
+        assert rows == []
+        assert err == "impurity-stream: error: unsupported snapshot version '1'\n"
+
+    def test_unwritable_save_path_fails_before_any_row(self, cli, tmp_path):
+        target = tmp_path / "missing-dir" / "state.snap"
+        code, rows, err = cli(
+            ["run", "--mode", "exact", "--save-state", str(target)], input_lines=["a", "b"]
+        )
+        assert code == EXIT_INPUT
+        assert rows == []
+        assert err.startswith("impurity-stream: error:")
+        assert err.count("\n") == 1
+
+    def test_failed_run_leaves_no_temp_state(self, cli, tmp_path):
+        state = tmp_path / "state.snap"
+        state.write_text("previous\n", encoding="utf-8")
+        code, rows, _ = cli(
+            ["run", "--mode", "exact", "--save-state", str(state)], input_lines=["a", "", "b"]
+        )
+        assert code == EXIT_INPUT
+        assert rows == ["0\t0.000000000\t0.000000000"]
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("state")) == ["state.snap"]
+        assert state.read_text(encoding="utf-8") == "previous\n"
 
     def test_conflicting_window_size_on_resume(self, cli, tmp_path):
         state = tmp_path / "state.snap"

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impurity_stream import (
-    ClassCounts,
     ExactEstimator,
     Interner,
     entropy_exact,
@@ -39,10 +39,9 @@ class TestGiniExact:
 
     def test_empty_sample_is_zero(self):
         assert gini_exact({}) == 0.0
-        assert gini_exact(ClassCounts()) == 0.0
 
     def test_accepts_class_counts(self):
-        counts = ClassCounts({"a": 3, "b": 1})
+        counts = Counter({"a": 3, "b": 1})
         assert gini_exact(counts) == pytest.approx(0.375, abs=1e-15)
 
 
@@ -136,52 +135,6 @@ def test_metric_ranges(counts):
     h = entropy_exact(counts)
     assert 0.0 <= g <= 1.0 - 1.0 / k + 1e-12
     assert 0.0 <= h <= math.log2(k) + 1e-9 if k > 1 else h == 0.0
-
-
-class TestClassCounts:
-    def test_total_tracks_sum(self):
-        counts = ClassCounts()
-        counts.add("a", 2.0)
-        counts.add("b")
-        counts.add("a", 0.5)
-        assert counts.total == pytest.approx(3.5, rel=1e-12)
-        assert counts["a"] == 2.5
-        assert counts.get("missing") == 0.0
-
-    def test_zero_mass_add_is_noop(self):
-        counts = ClassCounts()
-        counts.add("a", 0.0)
-        assert len(counts) == 0
-
-    def test_rejects_negative_mass(self):
-        with pytest.raises(ValueError):
-            ClassCounts().add("a", -1.0)
-
-    def test_remove_drops_emptied_classes(self):
-        counts = ClassCounts({"a": 2.0, "b": 1.0})
-        counts.remove("b")
-        assert "b" not in counts
-        assert counts.total == pytest.approx(2.0)
-
-    def test_remove_overdraw_rejected(self):
-        counts = ClassCounts({"a": 1.0})
-        with pytest.raises(ValueError):
-            counts.remove("a", 2.0)
-
-    def test_remove_missing_class_rejected(self):
-        with pytest.raises(KeyError):
-            ClassCounts().remove("a")
-
-    def test_total_snaps_to_zero_when_emptied(self):
-        counts = ClassCounts()
-        for _ in range(3):
-            counts.add("a", 0.1)
-        counts.remove("a", counts["a"])
-        assert counts.total == 0.0
-        assert len(counts) == 0
-
-    def test_equality_ignores_insertion_order(self):
-        assert ClassCounts({"a": 1.0, "b": 2.0}) == ClassCounts({"b": 2.0, "a": 1.0})
 
 
 class TestInterner:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bits, random_impurity_walk
-from impurity_stream import DeltaSet, EntropyState, entropy_exact
+from impurity_stream import EntropyState, entropy_exact
 
 count_dicts = st.dictionaries(
     st.integers(0, 999),
@@ -95,7 +95,7 @@ class TestMerge:
 class TestBatchIncrease:
     def test_empty_delta_is_identity(self):
         s = EntropyState(2.0, 1.0)
-        assert s.batch_increase(DeltaSet()) == s
+        assert s.batch_increase({}) == s
 
     def test_single_entry(self):
         s = EntropyState(2.0, 1.0).batch_increase({"a": (1.0, 1.0)})

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bits, random_impurity_walk
-from impurity_stream import DeltaSet, GiniState, gini_exact
+from impurity_stream import GiniState, gini_exact
 
 count_dicts = st.dictionaries(
     st.integers(0, 999),
@@ -61,7 +61,6 @@ class TestAppend:
 class TestBatchIncrease:
     def test_empty_delta_is_identity(self):
         s = GiniState(2.0, 0.5)
-        assert s.batch_increase(DeltaSet()) == s
         assert s.batch_increase({}) == s
 
     def test_single_entry(self):
@@ -84,18 +83,13 @@ class TestBatchIncrease:
 
     def test_rejects_nonpositive_increase(self):
         with pytest.raises(ValueError):
-            DeltaSet({"a": (1.0, 0.0)})
+            GiniState(2.0, 0.5).batch_increase({"a": (1.0, 0.0)})
         with pytest.raises(ValueError):
             GiniState(2.0, 0.5).batch_increase({"a": (1.0, -2.0)})
 
     def test_rejects_negative_current(self):
         with pytest.raises(ValueError):
-            DeltaSet({"a": (-1.0, 1.0)})
-
-    def test_delta_total_increase(self):
-        delta = DeltaSet({"a": (1.0, 2.0), "b": (3.0, 0.5)})
-        assert delta.total_increase == pytest.approx(2.5)
-        assert len(delta) == 2
+            GiniState(2.0, 0.5).batch_increase({"a": (-1.0, 1.0)})
 
 
 class TestUnitIncrement:

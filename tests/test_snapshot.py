@@ -60,10 +60,9 @@ class TestRoundTrips:
         assert restored.refresh_period == est.refresh_period
         assert restored.events_since_refresh == est.events_since_refresh
         assert list(restored.window) == list(est.window)
-        assert restored.counts == est.counts
-        for field in ("total", "value"):
-            assert bits(getattr(restored.gini, field)) == bits(getattr(est.gini, field))
-            assert bits(getattr(restored.entropy, field)) == bits(getattr(est.entropy, field))
+        assert list(restored.counts.items()) == list(est.counts.items())
+        assert bits(restored.g) == bits(est.g)
+        assert bits(restored.h) == bits(est.h)
 
     def test_fading_state_roundtrips_bit_exactly(self, tmp_path):
         est, interner, events = fading_fixture()
@@ -81,7 +80,7 @@ class TestRoundTrips:
         path = tmp_path / "state.snap"
         save_snapshot(path, "exact", est, interner, events)
         restored = load_snapshot(path).estimator
-        assert restored.counts.as_dict() == est.counts.as_dict()
+        assert list(restored.counts.items()) == list(est.counts.items())
         assert restored.metrics() == est.metrics()
 
     def test_fresh_estimator_roundtrips(self, tmp_path):
@@ -102,16 +101,17 @@ class TestRoundTrips:
             label = interner.intern(f"label-{rng.randrange(5)}")
             est.observe(label)
             restored.observe(label)
-            assert bits(est.gini.value) == bits(restored.gini.value)
-            assert bits(est.entropy.value) == bits(restored.entropy.value)
+            assert bits(est.g) == bits(restored.g)
+            assert bits(est.h) == bits(restored.h)
 
     def test_unicode_and_awkward_labels(self, tmp_path):
         interner = Interner()
         est = ExactEstimator()
-        for label in ["héllo", "日本語", "with,comma", 'quote"tab\there', "x" * 200]:
+        awkward = ["héllo", "日本語", "with,comma", 'quote"tab\there', "x" * 200, "line\u2028sep", "\x0c\x1c\x85"]
+        for label in awkward:
             est.observe(interner.intern(label))
         path = tmp_path / "state.snap"
-        save_snapshot(path, "exact", est, interner, 5)
+        save_snapshot(path, "exact", est, interner, len(awkward))
         loaded = load_snapshot(path)
         assert loaded.interner.labels == interner.labels
 
@@ -127,14 +127,14 @@ class TestErrors:
         est, interner, events = window_fixture(20)
         path = tmp_path / "state.snap"
         save_snapshot(path, "window", est, interner, events)
-        text = path.read_text().replace("snapshot 1 window", "snapshot 99 window", 1)
+        text = path.read_text().replace("snapshot 2 window", "snapshot 99 window", 1)
         path.write_text(text)
         with pytest.raises(SnapshotError, match="version"):
             load_snapshot(path)
 
     def test_unknown_mode_tag(self, tmp_path):
         path = tmp_path / "state.snap"
-        path.write_text("impurity-stream-snapshot 1 sideways\nevents 0\nlabels 0\n")
+        path.write_text("impurity-stream-snapshot 2 sideways\nevents 0\nlabels []\n")
         with pytest.raises(SnapshotError, match="mode"):
             load_snapshot(path)
 
@@ -151,19 +151,34 @@ class TestErrors:
         est, interner, events = fading_fixture(20)
         path = tmp_path / "state.snap"
         save_snapshot(path, "fading", est, interner, events)
-        path.write_text(path.read_text() + "unexpected trailer\n")
-        with pytest.raises(SnapshotError, match="trailing"):
+        body = path.read_text()
+        path.write_text(body + "unexpected trailer\n")
+        with pytest.raises(SnapshotError, match="line"):
+            load_snapshot(path)
+        path.write_text(body + "trailer 1\n")
+        with pytest.raises(SnapshotError, match="unexpected field 'trailer'"):
             load_snapshot(path)
 
     def test_inconsistent_window_counts(self, tmp_path):
         est, interner, events = window_fixture(40)
         path = tmp_path / "state.snap"
         save_snapshot(path, "window", est, interner, events)
+        # The counts follow from the window; the class order must agree with it.
         first_id = list(est.counts)[0]
-        count = est.counts[first_id]
-        text = path.read_text().replace(f"\n{first_id} {count}\n", f"\n{first_id} {count + 1}\n", 1)
+        text = path.read_text().replace(f"\nclasses [{first_id},", "\nclasses [", 1)
+        assert text != path.read_text()
         path.write_text(text)
         with pytest.raises(SnapshotError, match="inconsistent"):
+            load_snapshot(path)
+
+    def test_repeated_label_rejected(self, tmp_path):
+        est, interner, events = exact_fixture(20)
+        path = tmp_path / "state.snap"
+        save_snapshot(path, "exact", est, interner, events)
+        first, second = interner.labels[:2]
+        text = path.read_text().replace(f'"{second}"', f'"{first}"', 1)
+        path.write_text(text)
+        with pytest.raises(SnapshotError, match="listed twice"):
             load_snapshot(path)
 
     def test_mangled_float(self, tmp_path):

@@ -1,0 +1,88 @@
+"""Tampered state files: each one is rejected cleanly or resumes to sane metrics.
+
+A small state is saved in each mode. Variants of it drop, duplicate or swap
+lines, replace each numeric token with an extreme or malformed value, or cut
+the file after each line. Every variant must either end in exit 2 with one
+``impurity-stream: error:`` line and no rows, or resume through 50 more labels
+with exit 0 and finite metrics (Gini in [0, 1], entropy >= 0), and then save
+a state that loads again.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import math
+import random
+import re
+
+import pytest
+
+from impurity_stream.cli import EXIT_INPUT, EXIT_OK, main
+
+MODES = {
+    "window": ["--window-size", "5", "--refresh-every", "4"],
+    "fading": ["--alpha", "0.9"],
+    "exact": [],
+}
+REPLACEMENTS = ["-1", "0", "1e308", "nan", "inf", "-0x0p+0", "text"]
+NUMBER = re.compile(r"-?0x[0-9a-f.]+p[-+]\d+|\d+")
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _variants(lines):
+    """Every tampered copy of a state file's lines, as (name, lines)."""
+    for i in range(len(lines)):
+        yield f"drop {i}", lines[:i] + lines[i + 1 :]
+        yield f"duplicate {i}", lines[: i + 1] + lines[i:]
+        yield f"truncate after {i}", lines[:i]
+        for j in range(i + 1, len(lines)):
+            swapped = list(lines)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            yield f"swap {i} {j}", swapped
+        if lines[i].startswith("labels "):
+            continue
+        for match in NUMBER.finditer(lines[i]):
+            for value in REPLACEMENTS:
+                changed = list(lines)
+                changed[i] = lines[i][: match.start()] + value + lines[i][match.end() :]
+                yield f"line {i} {match.group()} -> {value}", changed
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_tampered_state_is_rejected_or_resumes_sanely(tmp_path, monkeypatch, mode):
+    monkeypatch.setenv("IMPURITY_STREAM_LOG", "quiet")
+    rng = random.Random(20261018)
+    head = tmp_path / "head.txt"
+    head.write_text("".join(f"c{rng.randrange(4)}\n" for _ in range(12)), encoding="utf-8")
+    tail = tmp_path / "tail.txt"
+    tail.write_text("".join(f"c{rng.randrange(6)}\n" for _ in range(50)), encoding="utf-8")
+    state, variant, again = (tmp_path / name for name in ("state", "variant", "again"))
+    code, _, _ = _run(["run", "--mode", mode, *MODES[mode], "--input", str(head), "--save-state", str(state)])
+    assert code == EXIT_OK
+    lines = state.read_text(encoding="utf-8").splitlines()
+
+    count = 0
+    for name, changed in _variants(lines):
+        count += 1
+        variant.write_text("".join(line + "\n" for line in changed), encoding="utf-8")
+        resume = ["run", "--mode", mode, "--input", str(tail), "--load-state", str(variant)]
+        code, out, err = _run(resume + ["--save-state", str(again)])
+        if code == EXIT_INPUT:
+            assert out == "", name
+            assert err.startswith("impurity-stream: error:") and err.count("\n") == 1, (name, err)
+            continue
+        assert (code, err) == (EXIT_OK, ""), (name, err)
+        rows = [row.split("\t") for row in out.splitlines()]
+        assert len(rows) == 50, name
+        for _, gini, entropy in rows:
+            assert 0.0 <= float(gini) <= 1.0 and 0.0 <= float(entropy) < math.inf, (name, gini, entropy)
+        code, _, err = _run(["run", "--mode", mode, "--input", str(head), "--load-state", str(again)])
+        assert (code, err) == (EXIT_OK, ""), (name, err)
+    assert count >= 50

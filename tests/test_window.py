@@ -91,8 +91,7 @@ class TestBookkeeping:
             if i >= 15:
                 assert len(est.window) == 16
                 assert sum(est.counts.values()) == 16
-                assert est.gini.total == 16.0
-                assert est.entropy.total == 16.0
+                assert len(est) == 16
 
     def test_determinism_bitwise(self):
         rng = random.Random(19)
@@ -160,9 +159,9 @@ class TestInlinedTransitions:
                 since_refresh = 0
 
             est.observe(label)
-            for view, state in ((est.gini, g), (est.entropy, h)):
-                assert view.total.hex() == state.total.hex()
-                assert view.value.hex() == state.value.hex()
+            assert float(len(est)).hex() == g.total.hex() == h.total.hex()
+            assert est.g.hex() == g.value.hex()
+            assert est.h.hex() == h.value.hex()
 
 
 class TestRefresh:
@@ -180,11 +179,11 @@ class TestRefresh:
             if i % 13 == 0:
                 expected_g = GiniState.from_counts(est.counts)
                 expected_h = EntropyState.from_counts(est.counts)
-                assert bits(est.gini.value) == bits(expected_g.value)
-                assert bits(est.entropy.value) == bits(expected_h.value)
+                assert bits(est.g) == bits(expected_g.value)
+                assert bits(est.h) == bits(expected_h.value)
 
     def test_manual_refresh_matches_from_counts(self):
         est = feed(SlidingWindowEstimator(4), ["a", "b", "b", "c"])
         est.refresh()
-        assert est.gini == GiniState.from_counts({"a": 1, "b": 2, "c": 1})
+        assert GiniState(float(len(est)), est.g) == GiniState.from_counts({"a": 1, "b": 2, "c": 1})
         assert est.events_since_refresh == 0
