@@ -177,7 +177,7 @@ def _build_parser() -> _Parser:
     run_p.add_argument(
         "--refresh-every",
         type=int,
-        help="exactly recompute window metrics every N events; 0 disables (window mode)",
+        help="rebuild the window's exact sums from its counts every N events; 0 disables (window mode)",
     )
     run_p.add_argument("--emit-every", type=int, default=1, help="emit one trace row per N events")
     run_p.add_argument("--format", choices=FORMATS, default="lines", dest="input_format")

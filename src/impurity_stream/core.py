@@ -58,7 +58,8 @@ def entropy_exact(counts: Mapping[Label, float]) -> float:
     total = sum(values)
     if total <= 0.0:
         return 0.0
-    acc = sum(plog2p(v / total) for v in values)
+    # fsum is correctly rounded, so the value does not depend on dict order.
+    acc = math.fsum(plog2p(v / total) for v in values)
     # Avoid returning -0.0 for pure samples.
     return -acc if acc != 0.0 else 0.0
 

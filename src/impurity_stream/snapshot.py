@@ -1,9 +1,9 @@
 """Versioned text snapshots of a run's state.
 
 A snapshot holds what a run needs to resume with a trace byte-identical to
-an uninterrupted one. Version 2 stores nothing that can be derived:
+an uninterrupted one. Version 3 stores nothing that can be derived:
 
-    impurity-stream-snapshot 2 MODE
+    impurity-stream-snapshot 3 MODE
     events N          events the run has consumed
     labels [...]      the label table, a JSON array in id order
     FIELD VALUE       one line per field of the estimator's state()
@@ -11,15 +11,14 @@ an uninterrupted one. Version 2 stores nothing that can be derived:
 An int is written in decimal, a float as a hex literal (so it round-trips
 bit-exactly) and a list of ints as a JSON array. The fields per mode:
 
-    window  capacity, refresh_period, events_since_refresh, g, h,
-            window (the ids in the window, oldest first) and classes (its
-            distinct ids, in the order its counts hold them)
+    window  capacity, refresh_period, events_since_refresh and window
+            (the ids in the window, oldest first)
     fading  alpha, g, h, counts (one per label, in id order)
     exact   counts (one per label, in id order)
 
-The window's counts and total follow from its ids, the fading n from its
-counts. Each estimator's from_state() rejects a state that no run reaches;
-that, and any malformed line, ends in SnapshotError.
+The window's counts and its exact power sums follow from its ids, the
+fading n from its counts. Each estimator's from_state() rejects a state
+that no run reaches; that, and any malformed line, ends in SnapshotError.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .window import SlidingWindowEstimator
 __all__ = ["SnapshotError", "LoadedSnapshot", "save_snapshot", "write_snapshot", "load_snapshot"]
 
 _MAGIC = "impurity-stream-snapshot"
-_VERSION = 2
+_VERSION = 3
 _ESTIMATORS = {
     "window": SlidingWindowEstimator,
     "fading": FadingEstimator,

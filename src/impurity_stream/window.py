@@ -3,32 +3,58 @@
 from __future__ import annotations
 
 from collections import Counter, deque
-from math import log2
-from typing import Deque, Dict, Mapping, Tuple
+from math import ldexp, log2
+from typing import Deque, Dict, List, Mapping, Tuple
 
-from .core import Label, entropy_exact, gini_exact, state_fields
-from .gini import _DRAIN_TOL
+from .core import Label, state_fields
 
 __all__ = ["SlidingWindowEstimator"]
+
+
+def _scaled_plog2(count: int) -> int:
+    """count * log2(count) scaled by 2**52: an exact int, 0 below 2.
+
+    For count >= 2 the float product is at least 2, so its last bit is worth
+    at least 2**-52 and the scaled value is integral.
+    """
+    return int(ldexp(count * log2(count), 52)) if count >= 2 else 0
+
+
+# _STEP[c] == _scaled_plog2(c + 1) - _scaled_plog2(c), shared by every window.
+# It grows on demand up to the largest count any window has reached, not to
+# the capacity: a large window of many small classes keeps it short.
+_STEP: List[int] = [0]
+
+
+def _grow_steps(count: int) -> List[int]:
+    """Extend _STEP so that it holds _STEP[count]; returns it."""
+    scaled = _scaled_plog2(len(_STEP))
+    for c in range(len(_STEP), count + 1):
+        following = _scaled_plog2(c + 1)
+        _STEP.append(following - scaled)
+        scaled = following
+    return _STEP
 
 
 class SlidingWindowEstimator:
     """Both impurity metrics of the last ``capacity`` labels, in O(1) per event.
 
-    A full window evicts its oldest label (unit-decrement transition) before
-    inserting the new one (unit-increment transition), so occupancy never
-    exceeds the capacity. The window holds labels only; memory is
-    O(capacity + distinct classes). Callers feeding long streams typically
-    pass small interned ids.
+    A full window evicts its oldest label before inserting the new one, so
+    occupancy never exceeds the capacity. The window holds labels only;
+    memory is O(capacity + distinct classes). Callers feeding long streams
+    typically pass small interned ids.
 
-    The transitions are GiniState/EntropyState inc() and dec(), inlined on
-    the plain floats ``g`` and ``h`` with the same operations in the same
-    order, so every value is bit-identical to folding the state classes.
-    Their total is always the window length, so it is not stored.
+    The state is two exact integers over the window's class counts c:
+    ``s2`` = sum of c**2 and ``t`` = sum of P(c), where P(c) is c*log2(c)
+    scaled by 2**52 (an exact int). A count moving between c and c + 1 moves
+    ``s2`` by 2c + 1 and ``t`` by a table entry, so nothing accumulates
+    rounding: Gini is 1 - s2/n**2 and entropy log2(n) - t/(n * 2**52), each
+    from correctly rounded int divisions, and both follow from the window
+    alone.
 
-    ``refresh_period`` > 0 recomputes both metrics exactly from the class
-    counts every that-many events (O(k)), bounding float drift on very long
-    runs; 0 disables it.
+    ``refresh_period`` > 0 calls refresh() every that-many events. It
+    rebuilds ``s2`` and ``t`` from the counts (O(k)), which gives the same
+    integers; 0 disables it.
 
     Single-writer: observe() mutates in place and is not safe for concurrent
     use. Treat ``window`` and ``counts`` as read-only.
@@ -43,8 +69,8 @@ class SlidingWindowEstimator:
         self.refresh_period = refresh_period
         self.window: Deque[Label] = deque()
         self.counts: Dict[Label, int] = {}
-        self.g = 0.0
-        self.h = 0.0
+        self.s2 = 0
+        self.t = 0
         self.events_since_refresh = 0
 
     def __len__(self) -> int:
@@ -54,70 +80,55 @@ class SlidingWindowEstimator:
         """Slide the window forward by one labeled event."""
         window = self.window
         counts = self.counts
-        g = self.g
-        h = self.h
-        total = float(len(window))
-        if total >= self.capacity:
-            # dec(after): the oldest label leaves.
+        step = _STEP
+        s2 = self.s2
+        t = self.t
+        if len(window) >= self.capacity:
+            # The oldest label leaves; its count drops to ``after``.
             oldest = window.popleft()
             after = counts[oldest] - 1
             if after:
                 counts[oldest] = after
             else:
                 del counts[oldest]
-            new_total = total - 1.0
-            if new_total <= _DRAIN_TOL * total:
-                g = h = 0.0
-            else:
-                g = 1.0 - (total * total * (1.0 - g) - 2.0 * after - 1.0) / (new_total * new_total)
-                p = (after + 1.0) / total
-                q = after / total
-                inner = h + p * log2(p) - (q * log2(q) if after else 0.0)
-                h = (total / new_total) * inner + log2(new_total / total)
-            total = new_total
-        # inc(before): the new label enters.
+            s2 -= 2 * after + 1
+            t -= step[after]
+        # The new label enters; its count rises from ``before``.
         before = counts.get(label, 0)
         window.append(label)
         counts[label] = before + 1
-        new_total = total + 1.0
-        self.g = 1.0 - (total * total * (1.0 - g) + 2.0 * before + 1.0) / (new_total * new_total)
-        if total > 0.0:
-            q = total / new_total
-            h = q * (h - log2(q))
-        else:
-            h = 0.0
-        p = (before + 1.0) / new_total
-        q = before / new_total
-        # The last term is +0.0 for a new class, which turns a -0.0 into 0.0.
-        self.h = h - p * log2(p) + (q * log2(q) if before else 0.0)
+        self.s2 = s2 + 2 * before + 1
+        try:
+            self.t = t + step[before]
+        except IndexError:
+            self.t = t + _grow_steps(before)[before]
         self.events_since_refresh += 1
         if self.refresh_period and self.events_since_refresh >= self.refresh_period:
             self.refresh()
 
     def refresh(self) -> None:
-        """Recompute both metrics exactly from the window's class counts."""
-        self.g = gini_exact(self.counts)
-        self.h = entropy_exact(self.counts)
+        """Rebuild ``s2`` and ``t`` from the window's class counts."""
+        # Many classes share a count, so sum over the distinct counts.
+        tally = Counter(self.counts.values())
+        self.s2 = sum(c * c * k for c, k in tally.items())
+        self.t = sum(_scaled_plog2(c) * k for c, k in tally.items())
         self.events_since_refresh = 0
 
     def metrics(self) -> Tuple[float, float]:
-        """Current (gini, entropy), clamped for reporting; O(1)."""
-        return (min(1.0, max(0.0, self.g)), max(0.0, self.h))
+        """Current (gini, entropy); O(1)."""
+        if len(self.counts) < 2:
+            return (0.0, 0.0)
+        n = len(self.window)
+        # t / n is a correctly rounded int division; scaling it by 2**-52 is exact.
+        return (1.0 - self.s2 / (n * n), max(0.0, log2(n) - ldexp(self.t / n, -52)))
 
     def state(self) -> Dict[str, object]:
-        """The fields that restore this estimator; see ``snapshot``.
-
-        The counts follow from ``window``. ``classes`` keeps the order in
-        which ``counts`` holds the classes, because refresh() sums in it.
-        """
+        """The fields that restore this estimator; see ``snapshot``."""
         return {
             "capacity": self.capacity,
             "refresh_period": self.refresh_period,
             "events_since_refresh": self.events_since_refresh,
-            "g": self.g,
-            "h": self.h,
             "window": list(self.window),
-            "classes": list(self.counts),
         }
 
     @classmethod
@@ -126,15 +137,8 @@ class SlidingWindowEstimator:
     ) -> "SlidingWindowEstimator":
         """Rebuild an estimator from state() after ``events`` events over
         ``n_labels`` labels; ValueError if no run reaches that state."""
-        capacity, period, since, g, h, window, classes = state_fields(
-            state,
-            capacity=int,
-            refresh_period=int,
-            events_since_refresh=int,
-            g=float,
-            h=float,
-            window=list,
-            classes=list,
+        capacity, period, since, window = state_fields(
+            state, capacity=int, refresh_period=int, events_since_refresh=int, window=list
         )
         estimator = cls(capacity, period)
         if period and since >= period:
@@ -144,15 +148,11 @@ class SlidingWindowEstimator:
                 f"{len(window)} events in the window exceed its capacity {capacity} "
                 f"or the {events} events seen"
             )
-        tally = Counter(window)
-        counts = {class_id: tally[class_id] for class_id in classes}
-        if len(counts) != len(classes) or counts.keys() != tally.keys():
-            raise ValueError("classes inconsistent with the window: each of its classes must be listed once")
-        if max(classes, default=-1) >= n_labels:
+        if max(window, default=-1) >= n_labels:
             raise ValueError("class id outside the label table")
         estimator.window.extend(window)
-        estimator.counts = counts
-        estimator.g = g
-        estimator.h = h
+        estimator.counts = dict(Counter(window))
+        _grow_steps(max(estimator.counts.values(), default=0))
+        estimator.refresh()
         estimator.events_since_refresh = since
         return estimator

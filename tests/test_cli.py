@@ -335,19 +335,26 @@ class TestTraceEquivalence:
 
 
 def _window_id_beyond_labels(lines):
-    # window [0, 1, 0] -> [0, 7, 0] with its class list to match: only the id is bad.
+    # window [0, 1, 0] -> [0, 7, 0]: id 7 names no label.
     lines[lines.index("window [0,1,0]")] = "window [0,7,0]"
-    lines[lines.index("classes [0,1]")] = "classes [0,7]"
 
 
-def _window_histogram_differs(lines):
-    # window [0, 1, 0] -> [0, 0, 0]: class 1 is still listed but left the window.
-    lines[lines.index("window [0,1,0]")] = "window [0,0,0]"
+def _window_beyond_capacity(lines):
+    # Four events in a window of 3, with the event count to match.
+    lines[lines.index("events 3")] = "events 4"
+    lines[lines.index("window [0,1,0]")] = "window [0,1,0,1]"
 
 
 def _replace_line(old, new):
     def tamper(lines):
         lines[lines.index(old)] = new
+
+    return tamper
+
+
+def _append_line(line):
+    def tamper(lines):
+        lines.append(line)
 
     return tamper
 
@@ -391,7 +398,8 @@ _TAMPERED_SNAPSHOTS = [
     ),
     # Non-finite floats: a NaN g would read as Gini 0 from then on.
     pytest.param(["fading", "--alpha", "0.9"], _replace_field("g", "nan"), id="fading-g-nan"),
-    pytest.param(["window", "--window-size", "3"], _replace_field("h", "inf"), id="window-h-inf"),
+    # A window state has no float field; an h left over from version 2 is refused.
+    pytest.param(["window", "--window-size", "3"], _append_line("h inf"), id="window-h-inf"),
     # The event count must agree with the estimator's own count.
     pytest.param(
         ["fading", "--alpha", "0.9"], _replace_line("events 3", "events 100"), id="fading-events-above-n"
@@ -458,8 +466,8 @@ class TestStatePersistence:
 
     @pytest.mark.parametrize(
         "tamper",
-        [_window_id_beyond_labels, _window_histogram_differs],
-        ids=["id-beyond-labels", "histogram-differs"],
+        [_window_id_beyond_labels, _window_beyond_capacity],
+        ids=["id-beyond-labels", "beyond-capacity"],
     )
     def test_inconsistent_window_snapshot_rejected(self, cli, tmp_path, tamper):
         state = tmp_path / "state.snap"
@@ -511,6 +519,20 @@ class TestStatePersistence:
         assert code == EXIT_INPUT
         assert rows == []
         assert err == "impurity-stream: error: unsupported snapshot version '1'\n"
+
+    def test_version_2_state_rejected(self, cli, tmp_path):
+        # What version 2 saved after "a b a" in a window of 3.
+        state = tmp_path / "state.snap"
+        state.write_text(
+            "impurity-stream-snapshot 2 window\nevents 3\nlabels [\"a\",\"b\"]\ncapacity 3\n"
+            "refresh_period 0\nevents_since_refresh 3\ng 0x1.c71c71c71c71cp-2\n"
+            "h 0x1.d62adf1ea257dp-1\nwindow [0,1,0]\nclasses [0,1]\n",
+            encoding="utf-8",
+        )
+        code, rows, err = cli(["run", "--mode", "window", "--load-state", str(state)], input_lines=["a"])
+        assert code == EXIT_INPUT
+        assert rows == []
+        assert err == "impurity-stream: error: unsupported snapshot version '2'\n"
 
     def test_unwritable_save_path_fails_before_any_row(self, cli, tmp_path):
         target = tmp_path / "missing-dir" / "state.snap"

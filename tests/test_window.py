@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -128,40 +129,55 @@ class TestWindowExactness:
             assert abs(entropy_value - entropy_exact(est.counts)) <= 1e-9
 
 
-class TestInlinedTransitions:
+def scaled_plog2(count):
+    """count * log2(count) as an exact int scaled by 2**52, 0 below 2."""
+    return int(math.ldexp(count * math.log2(count), 52)) if count >= 2 else 0
+
+
+def zipf_stream(rng, classes, k, s=1.0):
+    return rng.choices(range(classes), weights=[1.0 / (r + 1) ** s for r in range(classes)], k=k)
+
+
+class TestPowerSums:
     @pytest.mark.parametrize("refresh_period", [0, 13])
     @pytest.mark.parametrize("capacity", [1, 2, 37, 1000])
-    def test_bit_identical_to_state_fold(self, capacity, refresh_period):
-        """observe() equals folding GiniState/EntropyState inc/dec, bit for bit."""
+    def test_power_sums_match_definition(self, capacity, refresh_period):
+        """After every event s2 == sum c**2 and t == sum P(c), exactly."""
         rng = random.Random(capacity * 100 + refresh_period)
-        stream = rng.choices(range(60), weights=[1.0 / (r + 1) for r in range(60)], k=20_000)
         est = SlidingWindowEstimator(capacity, refresh_period)
         recent = deque()
-        counts = {}
-        g, h = GiniState(), EntropyState()
-        since_refresh = 0
-        for label in stream:
-            if len(recent) >= capacity:
-                oldest = recent.popleft()
-                after = counts[oldest] - 1
-                if after:
-                    counts[oldest] = after
-                else:
-                    del counts[oldest]
-                g, h = g.dec(after), h.dec(after)
-            before = counts.get(label, 0)
-            recent.append(label)
-            counts[label] = before + 1
-            g, h = g.inc(before), h.inc(before)
-            since_refresh += 1
-            if refresh_period and since_refresh >= refresh_period:
-                g, h = GiniState.from_counts(counts), EntropyState.from_counts(counts)
-                since_refresh = 0
-
+        tally = Counter()
+        for label in zipf_stream(rng, 60, 20_000):
             est.observe(label)
-            assert float(len(est)).hex() == g.total.hex() == h.total.hex()
-            assert est.g.hex() == g.value.hex()
-            assert est.h.hex() == h.value.hex()
+            if len(recent) == capacity:
+                tally[recent.popleft()] -= 1
+            recent.append(label)
+            tally[label] += 1
+            tally = +tally
+            assert est.counts == tally
+            assert est.s2 == sum(c * c for c in tally.values())
+            assert est.t == sum(scaled_plog2(c) for c in tally.values())
+
+    def test_no_drift_against_fsum_oracle(self):
+        """1e5 Zipf events through a 5e4 window without refresh stay within
+        1e-12 of metrics recomputed with math.fsum."""
+        rng = random.Random(4242)
+        capacity = 50_000
+        est = SlidingWindowEstimator(capacity)
+        recent = deque(maxlen=capacity)
+        worst = 0.0
+        for i, label in enumerate(zipf_stream(rng, 5_000, 100_000), 1):
+            est.observe(label)
+            recent.append(label)
+            if i % 2_500 and i != 100_000:
+                continue
+            counts = Counter(recent).values()
+            n = len(recent)
+            expected_g = 1.0 - math.fsum((c / n) ** 2 for c in counts)
+            expected_h = -math.fsum(c / n * math.log2(c / n) for c in counts)
+            gini_value, entropy_value = est.metrics()
+            worst = max(worst, abs(gini_value - expected_g), abs(entropy_value - expected_h))
+        assert worst <= 1e-12
 
 
 class TestRefresh:
@@ -172,18 +188,29 @@ class TestRefresh:
         assert est.events_since_refresh == 0
 
     def test_refresh_installs_exact_states(self):
+        """A refresh rebuilds the power sums by definition, which changes no value."""
         rng = random.Random(23)
         est = SlidingWindowEstimator(8, refresh_period=13)
+        twin = SlidingWindowEstimator(8)
         for i in range(1, 40):
-            est.observe(rng.randrange(3))
+            label = rng.randrange(3)
+            est.observe(label)
+            twin.observe(label)
             if i % 13 == 0:
-                expected_g = GiniState.from_counts(est.counts)
-                expected_h = EntropyState.from_counts(est.counts)
-                assert bits(est.g) == bits(expected_g.value)
-                assert bits(est.h) == bits(expected_h.value)
+                assert est.events_since_refresh == 0
+                assert est.s2 == sum(c * c for c in est.counts.values())
+                assert est.t == sum(scaled_plog2(c) for c in est.counts.values())
+            assert (est.s2, est.t) == (twin.s2, twin.t)
+            assert [bits(v) for v in est.metrics()] == [bits(v) for v in twin.metrics()]
 
     def test_manual_refresh_matches_from_counts(self):
         est = feed(SlidingWindowEstimator(4), ["a", "b", "b", "c"])
+        sums, values = (est.s2, est.t), est.metrics()
         est.refresh()
-        assert GiniState(float(len(est)), est.g) == GiniState.from_counts({"a": 1, "b": 2, "c": 1})
+        assert (est.s2, est.t) == sums
+        assert est.metrics() == values
         assert est.events_since_refresh == 0
+        counts = {"a": 1, "b": 2, "c": 1}
+        gini_value, entropy_value = est.metrics()
+        assert gini_value == GiniState.from_counts(counts).value
+        assert entropy_value == pytest.approx(EntropyState.from_counts(counts).value, abs=1e-15)
