@@ -18,31 +18,38 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import logging
 import os
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, TextIO
 
 from .bench import BENCH_MODES, DEFAULT_SEED, format_report, run_bench
-from .core import ExactEstimator, Interner
+from .core import Interner
 from .fading import FadingEstimator
-from .snapshot import Estimator, SnapshotError, load_snapshot, write_snapshot
+from .snapshot import ESTIMATORS, Estimator, LoadedSnapshot, SnapshotError, load_snapshot, write_snapshot
 from .window import SlidingWindowEstimator
 
 __all__ = ["main", "run_stream", "RunConfig", "RunSummary"]
-
-log = logging.getLogger("impurity_stream")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 
-MODES = ("window", "fading", "exact")
+MODES = tuple(ESTIMATORS)
 METRICS = ("gini", "entropy", "both")
 FORMATS = ("lines", "csv")
 
-_LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+# The estimator flags of `run`: flag -> (its RunConfig field, the estimator
+# that takes it, the constructor parameter and attribute it sets, whether a
+# fresh run requires it). The exact estimator takes none.
+_FLAGS = {
+    "--window-size": ("window_size", SlidingWindowEstimator, "capacity", True),
+    "--refresh-every": ("refresh_period", SlidingWindowEstimator, "refresh_period", False),
+    "--alpha": ("alpha", FadingEstimator, "alpha", True),
+}
+
+# The diagnostics each IMPURITY_STREAM_LOG value shows.
+_LOG_LEVELS = {"quiet": (), "info": ("WARNING", "INFO"), "debug": ("WARNING", "INFO", "DEBUG")}
 
 
 class UsageError(Exception):
@@ -59,7 +66,7 @@ class RunConfig:
     metric: str = "both"
     window_size: Optional[int] = None
     alpha: Optional[float] = None
-    refresh_period: int = 0
+    refresh_period: Optional[int] = None
     emit_every: int = 1
     input_format: str = "lines"
     csv_column: int = 0
@@ -137,26 +144,12 @@ def run_stream(
     return RunSummary(events=events, classes=len(interner), gini=gini_value, entropy=entropy_value)
 
 
-class _StderrHandler(logging.Handler):
-    """Writes to the *current* sys.stderr so redirection works."""
-
-    def emit(self, record: logging.LogRecord) -> None:
-        try:
-            sys.stderr.write(self.format(record) + "\n")
-        except Exception:
-            self.handleError(record)
-
-
-def _configure_logging() -> None:
-    raw = os.environ.get("IMPURITY_STREAM_LOG", "info").strip().lower()
-    if not any(isinstance(h, _StderrHandler) for h in log.handlers):
-        handler = _StderrHandler()
-        handler.setFormatter(logging.Formatter("impurity-stream: %(levelname)s: %(message)s"))
-        log.addHandler(handler)
-    log.setLevel(_LOG_LEVELS.get(raw, logging.INFO))
-    log.propagate = False
-    if raw not in _LOG_LEVELS:
-        log.warning("unknown IMPURITY_STREAM_LOG value %r; using 'info'", raw)
+def _log(level: str, message: str) -> None:
+    """Write one diagnostic line to the current stderr, if IMPURITY_STREAM_LOG
+    shows its level; an unknown value shows what 'info' does."""
+    setting = os.environ.get("IMPURITY_STREAM_LOG", "info").strip().lower()
+    if level in _LOG_LEVELS.get(setting, _LOG_LEVELS["info"]) and sys.stderr is not None:
+        sys.stderr.write(f"impurity-stream: {level}: {message}\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,7 +194,6 @@ def _build_parser() -> _Parser:
 
 
 def _validate_run_args(args: argparse.Namespace) -> RunConfig:
-    resuming = args.load_state is not None
     if args.emit_every < 1:
         raise UsageError("--emit-every must be >= 1")
 
@@ -214,77 +206,51 @@ def _validate_run_args(args: argparse.Namespace) -> RunConfig:
             raise UsageError("--column only applies to --format csv")
         column = 0
 
-    window_size = None
-    alpha = None
-    refresh_period = 0
-    if args.mode == "window":
-        if args.alpha is not None:
-            raise UsageError("--alpha only applies to fading mode")
-        if args.window_size is not None and args.window_size < 1:
-            raise UsageError("--window-size must be >= 1")
-        if args.refresh_every is not None and args.refresh_every < 0:
-            raise UsageError("--refresh-every must be >= 0")
-        if not resuming and args.window_size is None:
-            raise UsageError("window mode requires --window-size")
-        window_size = args.window_size
-        refresh_period = args.refresh_every if args.refresh_every is not None else 0
-    elif args.mode == "fading":
-        if args.window_size is not None:
-            raise UsageError("--window-size only applies to window mode")
-        if args.refresh_every is not None:
-            raise UsageError("--refresh-every only applies to window mode")
-        if args.alpha is not None and not 0.0 < args.alpha <= 1.0:
-            raise UsageError("--alpha must be in (0, 1]")
-        if not resuming and args.alpha is None:
-            raise UsageError("fading mode requires --alpha")
-        alpha = args.alpha
-    else:
-        for name, value in (
-            ("--window-size", args.window_size),
-            ("--alpha", args.alpha),
-            ("--refresh-every", args.refresh_every),
-        ):
-            if value is not None:
-                raise UsageError(f"{name} does not apply to exact mode")
-
     return RunConfig(
         mode=args.mode,
         metric=args.metric,
-        window_size=window_size,
-        alpha=alpha,
-        refresh_period=refresh_period,
+        window_size=args.window_size,
+        alpha=args.alpha,
+        refresh_period=args.refresh_every,
         emit_every=args.emit_every,
         input_format=args.input_format,
         csv_column=column,
     )
 
 
-def _build_estimator(cfg: RunConfig) -> Estimator:
-    if cfg.mode == "window":
-        return SlidingWindowEstimator(cfg.window_size, cfg.refresh_period)
-    if cfg.mode == "fading":
-        return FadingEstimator(cfg.alpha)
-    return ExactEstimator()
+def _start(cfg: RunConfig, load_state: Optional[str]) -> LoadedSnapshot:
+    """The estimator ``cfg`` describes, built new, or loaded from
+    ``load_state`` and checked against the flags ``cfg`` gives."""
+    kind = ESTIMATORS[cfg.mode]
+    given = {}
+    for flag, (field, taker, param, required) in _FLAGS.items():
+        value = getattr(cfg, field)
+        if value is None:
+            if taker is kind and required and load_state is None:
+                raise UsageError(f"{cfg.mode} mode requires {flag}")
+        elif taker is not kind:
+            raise UsageError(f"{flag} does not apply to {cfg.mode} mode")
+        else:
+            given[param] = (flag, value)
 
+    if load_state is None:
+        try:
+            estimator = kind(**{param: value for param, (_, value) in given.items()})
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        return LoadedSnapshot(cfg.mode, estimator, Interner(), 0)
 
-def _check_resumed_config(args: argparse.Namespace, estimator: Estimator) -> None:
-    """Explicit options must agree with the restored state."""
-    if isinstance(estimator, SlidingWindowEstimator):
-        if args.window_size is not None and args.window_size != estimator.capacity:
-            raise UsageError(
-                f"--window-size {args.window_size} conflicts with saved capacity "
-                f"{estimator.capacity}"
-            )
-        if args.refresh_every is not None and args.refresh_every != estimator.refresh_period:
-            raise UsageError(
-                f"--refresh-every {args.refresh_every} conflicts with saved period "
-                f"{estimator.refresh_period}"
-            )
-    elif isinstance(estimator, FadingEstimator):
-        if args.alpha is not None and args.alpha != estimator.alpha:
-            raise UsageError(
-                f"--alpha {args.alpha} conflicts with saved factor {estimator.alpha}"
-            )
+    loaded = load_snapshot(load_state)
+    if loaded.mode != cfg.mode:
+        raise InputError(
+            f"state file holds mode {loaded.mode!r}, which does not match --mode {cfg.mode}"
+        )
+    for param, (flag, value) in given.items():
+        saved = getattr(loaded.estimator, param)
+        if value != saved:
+            raise UsageError(f"{flag} {value} conflicts with saved {param} {saved}")
+    _log("DEBUG", f"resumed {loaded.mode} state from {load_state} at event {loaded.events_seen}")
+    return loaded
 
 
 @contextlib.contextmanager
@@ -305,22 +271,8 @@ def _replacing(path: str) -> Iterator[TextIO]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _validate_run_args(args)
-    if args.load_state is not None:
-        loaded = load_snapshot(args.load_state)
-        if loaded.mode != cfg.mode:
-            raise InputError(
-                f"state file holds mode {loaded.mode!r}, which does not match --mode {cfg.mode}"
-            )
-        _check_resumed_config(args, loaded.estimator)
-        estimator = loaded.estimator
-        interner = loaded.interner
-        start_index = loaded.events_seen
-        log.debug("resumed %s state from %s at event %d", loaded.mode, args.load_state, start_index)
-    else:
-        estimator = _build_estimator(cfg)
-        interner = Interner()
-        start_index = 0
-    log.debug("config: %s", cfg)
+    start = _start(cfg, args.load_state)
+    _log("DEBUG", f"config: {cfg}")
 
     with contextlib.ExitStack() as stack:
         if args.save_state is not None:
@@ -334,19 +286,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
             out = sys.stdout
         else:
             out = stack.enter_context(open(args.output, "w", encoding="utf-8", newline="\n"))
-        summary = run_stream(cfg, lines, out, estimator, interner, start_index)
+        summary = run_stream(cfg, lines, out, start.estimator, start.interner, start.events_seen)
         out.flush()
         if args.save_state is not None:
-            write_snapshot(state_out, cfg.mode, estimator, interner, summary.events)
+            write_snapshot(state_out, cfg.mode, start.estimator, start.interner, summary.events)
 
     if args.save_state is not None:
-        log.debug("saved %s state to %s", cfg.mode, args.save_state)
-    log.info(
-        "events=%d distinct_classes=%d gini=%.9f entropy=%.9f",
-        summary.events,
-        summary.classes,
-        summary.gini,
-        summary.entropy,
+        _log("DEBUG", f"saved {cfg.mode} state to {args.save_state}")
+    _log(
+        "INFO",
+        f"events={summary.events} distinct_classes={summary.classes} "
+        f"gini={summary.gini:.9f} entropy={summary.entropy:.9f}",
     )
     return EXIT_OK
 
@@ -376,7 +326,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    _configure_logging()
+    setting = os.environ.get("IMPURITY_STREAM_LOG", "info").strip().lower()
+    if setting not in _LOG_LEVELS:
+        _log("WARNING", f"unknown IMPURITY_STREAM_LOG value {setting!r}; using 'info'")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -386,13 +338,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"impurity-stream: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InputError, SnapshotError) as exc:
-        print(f"impurity-stream: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except UnicodeDecodeError as exc:
         print(f"impurity-stream: error: input is not valid UTF-8: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
+    except (InputError, SnapshotError, OSError) as exc:
         print(f"impurity-stream: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SystemExit as exc:  # argparse --help

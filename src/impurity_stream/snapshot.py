@@ -32,11 +32,12 @@ from .core import ExactEstimator, Interner
 from .fading import FadingEstimator
 from .window import SlidingWindowEstimator
 
-__all__ = ["SnapshotError", "LoadedSnapshot", "save_snapshot", "write_snapshot", "load_snapshot"]
+__all__ = ["ESTIMATORS", "SnapshotError", "LoadedSnapshot", "save_snapshot", "write_snapshot", "load_snapshot"]
 
 _MAGIC = "impurity-stream-snapshot"
 _VERSION = 3
-_ESTIMATORS = {
+# The estimator of each run mode, by the mode's name.
+ESTIMATORS = {
     "window": SlidingWindowEstimator,
     "fading": FadingEstimator,
     "exact": ExactEstimator,
@@ -73,7 +74,7 @@ def write_snapshot(
     out: TextIO, mode: str, estimator: Estimator, interner: Interner, events_seen: int
 ) -> None:
     """Write the full run state to the text stream ``out``."""
-    kind = _ESTIMATORS.get(mode)
+    kind = ESTIMATORS.get(mode)
     if kind is None:
         raise SnapshotError(f"unknown mode {mode!r}")
     if not isinstance(estimator, kind):
@@ -108,7 +109,7 @@ def load_snapshot(path: str | Path) -> LoadedSnapshot:
     if header[1] != str(_VERSION):
         raise SnapshotError(f"unsupported snapshot version {header[1]!r}")
     mode = header[2]
-    kind = _ESTIMATORS.get(mode)
+    kind = ESTIMATORS.get(mode)
     if kind is None:
         raise SnapshotError(f"unknown snapshot mode {mode!r}")
 

@@ -555,40 +555,86 @@ class TestStatePersistence:
         assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("state")) == ["state.snap"]
         assert state.read_text(encoding="utf-8") == "previous\n"
 
-    def test_conflicting_window_size_on_resume(self, cli, tmp_path):
-        state = tmp_path / "state.snap"
-        code, _, _ = cli(
-            ["run", "--mode", "window", "--window-size", "8", "--save-state", str(state)],
-            input_lines=["a", "b"],
-        )
+    # (mode flags of the saved run, the flag given again on resume, a value
+    # other than the saved one)
+    _RESUME_FLAGS = [
+        (["--mode", "window", "--window-size", "8", "--refresh-every", "3"], "--window-size", "9"),
+        (["--mode", "window", "--window-size", "8", "--refresh-every", "3"], "--refresh-every", "0"),
+        (["--mode", "fading", "--alpha", "0.5"], "--alpha", "0.25"),
+    ]
+
+    def _save(self, cli, state, mode_args):
+        code, _, _ = cli(["run", *mode_args, "--save-state", str(state)], input_lines=["a", "b"])
         assert code == EXIT_OK
-        code, _, err = cli(
-            [
-                "run",
-                "--mode",
-                "window",
-                "--window-size",
-                "9",
-                "--load-state",
-                str(state),
-            ],
-            input_lines=["a"],
+
+    @pytest.mark.parametrize(
+        "mode_args,flag,other", _RESUME_FLAGS, ids=[flag for _, flag, _ in _RESUME_FLAGS]
+    )
+    def test_conflicting_flag_on_resume(self, cli, tmp_path, mode_args, flag, other):
+        state = tmp_path / "state.snap"
+        self._save(cli, state, mode_args)
+        code, rows, err = cli(
+            ["run", *mode_args[:2], flag, other, "--load-state", str(state)], input_lines=["a"]
         )
         assert code == EXIT_USAGE
-        assert "conflicts" in err
+        assert rows == []
+        assert err.startswith(f"impurity-stream: error: {flag} {other} conflicts with saved ")
+        assert err.count("\n") == 1
 
-    def test_matching_explicit_options_on_resume_are_fine(self, cli, tmp_path):
+    @pytest.mark.parametrize(
+        "mode_args,flag,other", _RESUME_FLAGS, ids=[flag for _, flag, _ in _RESUME_FLAGS]
+    )
+    def test_matching_flag_on_resume_is_fine(self, cli, tmp_path, mode_args, flag, other):
         state = tmp_path / "state.snap"
-        code, _, _ = cli(
-            ["run", "--mode", "fading", "--alpha", "0.5", "--save-state", str(state)],
-            input_lines=["a", "b"],
+        self._save(cli, state, mode_args)
+        saved = mode_args[mode_args.index(flag) + 1]
+        code, rows, _ = cli(
+            ["run", *mode_args[:2], flag, saved, "--load-state", str(state)], input_lines=["b"]
         )
         assert code == EXIT_OK
-        code, _, _ = cli(
-            ["run", "--mode", "fading", "--alpha", "0.5", "--load-state", str(state)],
-            input_lines=["b"],
+        assert [row.split("\t")[0] for row in rows] == ["2"]
+
+    @pytest.mark.parametrize(
+        "argv,flag,construct",
+        [
+            (["--mode", "window", "--window-size", "0"], "--window-size", lambda: SlidingWindowEstimator(0)),
+            (
+                ["--mode", "window", "--window-size", "-3", "--refresh-every", "2"],
+                "--window-size",
+                lambda: SlidingWindowEstimator(-3, 2),
+            ),
+            (
+                ["--mode", "window", "--window-size", "5", "--refresh-every", "-1"],
+                "--refresh-every",
+                lambda: SlidingWindowEstimator(5, -1),
+            ),
+            (["--mode", "fading", "--alpha", "0"], "--alpha", lambda: FadingEstimator(0.0)),
+            (["--mode", "fading", "--alpha", "-0.5"], "--alpha", lambda: FadingEstimator(-0.5)),
+            (["--mode", "fading", "--alpha", "1.5"], "--alpha", lambda: FadingEstimator(1.5)),
+            (["--mode", "fading", "--alpha", "nan"], "--alpha", lambda: FadingEstimator(float("nan"))),
+        ],
+        ids=["window-size-0", "window-size-neg", "refresh-every-neg", "alpha-0", "alpha-neg", "alpha-1.5", "alpha-nan"],
+    )
+    def test_out_of_range_flag_creates_nothing(self, cli, tmp_path, argv, flag, construct):
+        state = tmp_path / "state.snap"
+        output = tmp_path / "out.tsv"
+        code, rows, err = cli(
+            ["run", *argv, "--output", str(output), "--save-state", str(state)], input_lines=["a"]
         )
-        assert code == EXIT_OK
+        assert code == EXIT_USAGE
+        assert rows == []
+        assert err.startswith("impurity-stream: error: ")
+        assert err.count("\n") == 1
+        assert not output.exists()
+        assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("state")]
+        # The message names the rejected flag or is the constructor's own,
+        # and never lists a flag that was valid.
+        with pytest.raises(ValueError) as constructor:
+            construct()
+        assert flag in err or err == f"impurity-stream: error: {constructor.value}\n"
+        for valid in argv[2::2]:
+            if valid != flag:
+                assert valid not in err
 
 
 class TestDiagnostics:
@@ -610,6 +656,56 @@ class TestDiagnostics:
         _, _, err = cli(["run", "--mode", "exact"], input_lines=["a"])
         assert "IMPURITY_STREAM_LOG" in err
         assert "events=1" in err
+
+    def test_unknown_level_lines_exactly(self, cli, monkeypatch):
+        monkeypatch.setenv("IMPURITY_STREAM_LOG", "chatty")
+        code, _, err = cli(["run", "--mode", "exact"], input_lines=["a", "b", "a"])
+        assert code == EXIT_OK
+        assert err == (
+            "impurity-stream: WARNING: unknown IMPURITY_STREAM_LOG value 'chatty'; using 'info'\n"
+            "impurity-stream: INFO: events=3 distinct_classes=2 gini=0.444444444 entropy=0.918295834\n"
+        )
+
+    def test_debug_resume_and_save_lines_exactly(self, cli, monkeypatch, tmp_path):
+        first = tmp_path / "first.snap"
+        second = tmp_path / "second.snap"
+        code, _, _ = cli(
+            ["run", "--mode", "window", "--window-size", "2", "--save-state", str(first)],
+            input_lines=["a", "b", "a"],
+        )
+        assert code == EXIT_OK
+        monkeypatch.setenv("IMPURITY_STREAM_LOG", "debug")
+        code, _, err = cli(
+            ["run", "--mode", "window", "--load-state", str(first), "--save-state", str(second)],
+            input_lines=["a", "b", "a"],
+        )
+        assert code == EXIT_OK
+        lines = err.splitlines(keepends=True)
+        assert len(lines) == 4
+        assert lines[0] == f"impurity-stream: DEBUG: resumed window state from {first} at event 3\n"
+        assert lines[1].startswith("impurity-stream: DEBUG: config: ")
+        assert lines[2:] == [
+            f"impurity-stream: DEBUG: saved window state to {second}\n",
+            "impurity-stream: INFO: events=6 distinct_classes=2 gini=0.500000000 entropy=1.000000000\n",
+        ]
+
+    def test_missing_stderr_drops_diagnostics(self, cli, monkeypatch):
+        # sys.stderr is None in a process with no console, such as under pythonw.
+        monkeypatch.setattr(sys, "stderr", None)
+        code, rows, _ = cli(["run", "--mode", "exact"], input_lines=["a", "b"])
+        assert code == EXIT_OK
+        assert rows == ["0\t0.000000000\t0.000000000", "1\t0.500000000\t1.000000000"]
+
+    def test_cli_import_leaves_logging_out(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys, impurity_stream.cli; print('logging' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_parse_error_message_survives_quiet(self, cli, monkeypatch):
         monkeypatch.setenv("IMPURITY_STREAM_LOG", "quiet")
