@@ -87,7 +87,12 @@ def run_bench(
     seed: int = DEFAULT_SEED,
     repeat: int = 3,
 ) -> List[BenchResult]:
-    """Time the requested modes on one synthetic uniform label stream."""
+    """Time the requested modes on one synthetic uniform label stream.
+
+    ValueError, before anything is timed, if an argument is out of range for
+    a requested mode; ``window_size`` and ``alpha`` are checked by the
+    estimators that take them, and only when their mode is requested.
+    """
     if classes < 2:
         raise ValueError("need at least 2 classes")
     if events < 1:
@@ -100,13 +105,15 @@ def run_bench(
         "fading": lambda: FadingEstimator(alpha).observe,
         "recompute": _make_recompute_observe,
     }
-    results = []
     for mode in modes:
         if mode not in factories:
             raise ValueError(f"unknown bench mode {mode!r}")
-        ns = _time_per_event(factories[mode], labels, repeat)
-        results.append(BenchResult(mode, classes, events, ns))
-    return results
+        # An out-of-range window size or alpha raises here, before any timing.
+        factories[mode]()
+    return [
+        BenchResult(mode, classes, events, _time_per_event(factories[mode], labels, repeat))
+        for mode in modes
+    ]
 
 
 def format_report(results: Sequence[BenchResult]) -> str:

@@ -289,6 +289,7 @@ class TestUsageErrors:
             ["bench", "--classes", "5", "--events", "500"],
             ["bench", "--classes", "5", "--events", "10000", "--repeat", "0"],
             ["bench", "--classes", "5", "--events", "10000", "--alpha", "2.0"],
+            ["bench", "--classes", "5", "--events", "10000", "--window-size", "0"],
             [],
         ],
     )
@@ -296,6 +297,15 @@ class TestUsageErrors:
         code, _, err = cli(argv)
         assert code == EXIT_USAGE
         assert "error" in err
+
+    def test_bench_ignores_flags_of_modes_it_does_not_run(self, cli):
+        code, rows, err = cli(
+            ["bench", "--classes", "5", "--events", "10000", "--modes", "recompute"]
+            + ["--alpha", "2.0", "--repeat", "1"]
+        )
+        assert code == EXIT_OK
+        assert rows[1].startswith("recompute\t5\t10000\t")
+        assert err == ""
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
@@ -695,6 +705,20 @@ class TestDiagnostics:
         code, rows, _ = cli(["run", "--mode", "exact"], input_lines=["a", "b"])
         assert code == EXIT_OK
         assert rows == ["0\t0.000000000\t0.000000000", "1\t0.500000000\t1.000000000"]
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["run", "--mode", "window"], EXIT_USAGE),
+            (["run"], EXIT_USAGE),
+            (["run", "--mode", "exact", "--input", "no-such-file.txt"], EXIT_INPUT),
+        ],
+    )
+    def test_missing_stderr_drops_errors(self, capsys, monkeypatch, argv, code):
+        """With no stderr, error lines and usage go nowhere, not into the trace."""
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(argv) == code
+        assert capsys.readouterr().out == ""
 
     def test_cli_import_leaves_logging_out(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

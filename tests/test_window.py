@@ -214,3 +214,68 @@ class TestRefresh:
         gini_value, entropy_value = est.metrics()
         assert gini_value == GiniState.from_counts(counts).value
         assert entropy_value == pytest.approx(EntropyState.from_counts(counts).value, abs=1e-15)
+
+
+def same_state(batched, folded):
+    """Window, counts, power sums, refresh counter and metric bits all equal."""
+    assert list(batched.window) == list(folded.window)
+    assert batched.counts == folded.counts
+    assert (batched.s2, batched.t) == (folded.s2, folded.t)
+    assert batched.events_since_refresh == folded.events_since_refresh
+    assert [bits(v) for v in batched.metrics()] == [bits(v) for v in folded.metrics()]
+
+
+def random_pieces(rng, labels, sizes):
+    """Consecutive pieces of ``labels``, each of a size drawn from ``sizes``."""
+    start = 0
+    while start < len(labels):
+        size = rng.choice(sizes)
+        yield labels[start : start + size]
+        start += size
+
+
+class TestObserveMany:
+    @pytest.mark.parametrize("refresh_period", [0, 1, 3, 11])
+    @pytest.mark.parametrize("capacity", [1, 2, 17, 1000])
+    def test_equals_folding_observe(self, capacity, refresh_period):
+        """Over random splits, some longer than the capacity and the refresh
+        period, and across a rebuild from state(), observe_many leaves the
+        state that observe() label by label leaves."""
+        rng = random.Random(capacity * 100 + refresh_period)
+        labels = zipf_stream(rng, 40, 4000)
+        edges = {capacity, refresh_period}
+        sizes = [0, 1, 2, 5, 64, 2 * capacity + 3, 3 * refresh_period + 1]
+        sizes += [edge + d for edge in edges for d in (-1, 0, 1) if edge + d > 0]
+        batched = SlidingWindowEstimator(capacity, refresh_period)
+        folded = SlidingWindowEstimator(capacity, refresh_period)
+        events = 0
+        for piece in random_pieces(rng, labels, sizes):
+            batched.observe_many(piece)
+            feed(folded, piece)
+            events += len(piece)
+            same_state(batched, folded)
+            if rng.random() < 0.05:
+                batched = SlidingWindowEstimator.from_state(batched.state(), events, 40)
+                same_state(batched, folded)
+
+    @pytest.mark.parametrize("rebuilt", [False, True])
+    def test_grows_steps_from_an_emptied_table(self, monkeypatch, rebuilt):
+        """A new process starts with a one-entry step table; one batch must
+        grow it as counts rise, on a new window and on one loaded from a
+        state, which grows it only to the counts the state holds."""
+        from impurity_stream import window as window_module
+
+        head = [0, 1, 0, 0, 2]
+        batch = [0] * 40 + [3, 0, 3] * 5
+        folded = feed(SlidingWindowEstimator(17, refresh_period=11), head + batch)
+        state = feed(SlidingWindowEstimator(17, refresh_period=11), head).state()
+        monkeypatch.setattr(window_module, "_STEP", [0])
+        if rebuilt:
+            batched = SlidingWindowEstimator.from_state(state, len(head), 4)
+            batched.observe_many(batch)
+        else:
+            batched = SlidingWindowEstimator(17, refresh_period=11)
+            batched.observe_many(head + batch)
+        same_state(batched, folded)
+        assert batched.s2 == sum(c * c for c in batched.counts.values())
+        assert batched.t == sum(scaled_plog2(c) for c in batched.counts.values())
