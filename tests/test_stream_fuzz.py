@@ -1,10 +1,11 @@
 """Seeded random streams through run_stream against a line-by-line reference.
 
-run_stream reads blocks of lines when it writes a row per several events.
-Whatever the cadence, resume point, input object or bad line, its rows,
-errors, estimator state and summary must be those of the plain per-line
-loop below. It must not pull a line before writing every row due from the
-lines before it, nor pull again once the input has ended.
+run_stream reads blocks of lines when the estimator takes them and it
+writes a row per 16 or more events. Whatever the cadence, resume point,
+input object or bad line, its rows, errors, estimator state and summary
+must be those of the plain per-line loop below. It must not pull a line
+before writing every row due from the lines before it, nor pull again once
+the input has ended.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from conftest import bits
 from impurity_stream import ExactEstimator, FadingEstimator, Interner, SlidingWindowEstimator
 from impurity_stream.cli import InputError, RunConfig, run_stream
 
-EMIT_EVERY = [1, 2, 7, 255, 256, 257, 1000]
+EMIT_EVERY = [1, 2, 7, 15, 16, 17, 255, 256, 257, 1000]
 BLOCK = 256
 
 ESTIMATORS = [
