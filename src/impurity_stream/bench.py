@@ -12,8 +12,7 @@ import gc
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence
 
 from .core import entropy_exact, gini_exact
 from .fading import FadingEstimator
@@ -26,8 +25,7 @@ BENCH_MODES = ("window", "fading", "recompute")
 DEFAULT_SEED = 12345
 
 
-@dataclass
-class BenchResult:
+class BenchResult(NamedTuple):
     mode: str
     classes: int
     events: int

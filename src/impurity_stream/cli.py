@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import sys
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, List, Optional, TextIO
+from typing import Iterable, Iterator, List, NamedTuple, Optional, TextIO
 
 from .bench import BENCH_MODES, DEFAULT_SEED, format_report, run_bench
 from .core import Interner
@@ -72,8 +72,7 @@ class InputError(Exception):
     """Malformed stream input or an unusable state file (exit code 2)."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     mode: str
     metric: str = "both"
     window_size: Optional[int] = None
@@ -84,8 +83,7 @@ class RunConfig:
     csv_column: int = 0
 
 
-@dataclass
-class RunSummary:
+class RunSummary(NamedTuple):
     events: int
     classes: int
     gini: float
@@ -351,6 +349,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             state_out = stack.enter_context(_replacing(args.save_state))
         if args.input == "-":
             lines: Iterable[str] = sys.stdin
+            if isinstance(lines, io.TextIOWrapper):
+                # Strict UTF-8, as a file is read, whatever the locale: in
+                # UTF-8 mode stdin would turn bad bytes into surrogates.
+                lines.reconfigure(encoding="utf-8", errors="strict")
         else:
             lines = stack.enter_context(open(args.input, "r", encoding="utf-8"))
         if args.output == "-":

@@ -13,8 +13,7 @@ the drift with periodic exact refreshes rather than in these transitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Mapping, NamedTuple, Tuple
 
 from .core import Label, entropy_exact, plog2p, rescale_entropy
 from .gini import _DRAIN_TOL
@@ -22,8 +21,7 @@ from .gini import _DRAIN_TOL
 __all__ = ["EntropyState"]
 
 
-@dataclass(frozen=True, slots=True)
-class EntropyState:
+class EntropyState(NamedTuple):
     """Total mass and entropy (bits) of a sample."""
 
     total: float = 0.0

@@ -12,14 +12,13 @@ O(1) (or O(#changed classes) for batches) instead of revisiting the sample:
     merge           sum' = sum_a + sum_b
     overlay         sum' = sum_a + sum_b + 2 * sum(x_i * y_i)
 
-then value' = 1 - sum' / total'^2. States are immutable values; transitions
-return new states and never mutate.
+then value' = 1 - sum' / total'^2. States are immutable named (total, value)
+tuples; transitions return new states and never mutate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Mapping, NamedTuple, Tuple
 
 from .core import Label, gini_exact, sum_squares
 
@@ -31,8 +30,7 @@ __all__ = ["GiniState"]
 _DRAIN_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class GiniState:
+class GiniState(NamedTuple):
     """Total mass and Gini index of a sample, advanced without the sample."""
 
     total: float = 0.0

@@ -24,9 +24,8 @@ that no run reaches; that, and any malformed line, ends in SnapshotError.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from pathlib import Path
-from typing import TextIO, Union
+import os
+from typing import NamedTuple, TextIO, Union
 
 from .core import ExactEstimator, Interner
 from .fading import FadingEstimator
@@ -50,8 +49,7 @@ class SnapshotError(ValueError):
     """A snapshot file is corrupt, has an unknown version, or a wrong mode."""
 
 
-@dataclass
-class LoadedSnapshot:
+class LoadedSnapshot(NamedTuple):
     mode: str
     estimator: Estimator
     interner: Interner
@@ -59,7 +57,7 @@ class LoadedSnapshot:
 
 
 def save_snapshot(
-    path: str | Path,
+    path: str | os.PathLike[str],
     mode: str,
     estimator: Estimator,
     interner: Interner,
@@ -92,10 +90,11 @@ def write_snapshot(
     out.write("\n".join(lines) + "\n")
 
 
-def load_snapshot(path: str | Path) -> LoadedSnapshot:
+def load_snapshot(path: str | os.PathLike[str]) -> LoadedSnapshot:
     """Read a snapshot back; raises SnapshotError on any problem."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as source:
+            text = source.read()
     except UnicodeDecodeError as exc:
         raise SnapshotError(f"snapshot is not valid UTF-8: {exc}") from None
     # Labels may hold any character but a newline, so split on "\n" alone.

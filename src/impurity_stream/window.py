@@ -122,9 +122,10 @@ class SlidingWindowEstimator:
         step = _STEP
         s2 = self.s2
         t = self.t
-        # Until the window is full, labels only enter.
+        # Until the window is full, labels only enter. The block's length
+        # bounds the fill count: islice takes no count above sys.maxsize.
         remaining = iter(labels)
-        for label in islice(remaining, self.capacity - len(window)):
+        for label in islice(remaining, min(self.capacity - len(window), len(labels))):
             before = get(label, 0)
             append(label)
             counts[label] = before + 1

@@ -33,6 +33,8 @@ def test_run_bench_validates_arguments():
         run_bench(1, 2000)
     with pytest.raises(ValueError):
         run_bench(3, 2000, repeat=0)
+    with pytest.raises(ValueError, match="at least one event"):
+        run_bench(3, 0)
     with pytest.raises(ValueError):
         run_bench(3, 2000, modes=["imaginary"])
 

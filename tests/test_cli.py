@@ -119,6 +119,19 @@ class TestOutputShape:
         assert rows == []  # nothing on stdout
         assert out_path.read_text() == "0\t0.000000000\t0.000000000\n1\t0.500000000\t1.000000000\n"
 
+    @pytest.mark.parametrize("emit_every", ["1", "16"])
+    def test_window_larger_than_maxsize(self, cli, emit_every):
+        """Both run loops, per line (1) and in blocks (16), take a window
+        larger than sys.maxsize; on a short stream it is a large window."""
+        rng = random.Random(16)
+        labels = [f"c{rng.randrange(5)}" for _ in range(40)]
+        large, huge = (
+            cli(["run", "--mode", "window", "--window-size", size, "--emit-every", emit_every], input_lines=labels)
+            for size in ("1000000", "100000000000000000000")
+        )
+        assert large[0] == EXIT_OK
+        assert huge == large
+
     def test_empty_input_emits_no_rows(self, cli):
         code, rows, err = cli(["run", "--mode", "exact"], input_lines=[])
         assert code == EXIT_OK
@@ -320,6 +333,23 @@ class TestStdinStdout:
         assert code == EXIT_OK
         assert rows[-1] == "1\t0.500000000\t1.000000000"
 
+    def test_non_utf8_stdin_is_rejected_like_a_file(self, tmp_path):
+        # UTF-8 mode gives sys.stdin the surrogateescape handler; a run must
+        # not take that, or --save-state fails to encode the label.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        state = tmp_path / "S"
+        proc = subprocess.run(
+            [sys.executable, "-m", "impurity_stream", "run", "--mode", "exact", "--save-state", str(state)],
+            input=b"a\n\xff\n",
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "1", "IMPURITY_STREAM_LOG": "info"},
+        )
+        err = proc.stderr.decode()
+        assert proc.returncode == EXIT_INPUT, err
+        assert err.startswith("impurity-stream: error:") and err.count("\n") == 1 and "UTF-8" in err
+        assert proc.stdout == b""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTraceEquivalence:
     def test_window_fading_exact_agree_without_recency(self, cli):
@@ -473,6 +503,15 @@ class TestStatePersistence:
         )
         assert code == EXIT_INPUT
         assert "error" in err
+
+    def test_load_non_utf8_state(self, cli, tmp_path):
+        state = tmp_path / "state.snap"
+        state.write_bytes(b'impurity-stream-snapshot 3 exact\nevents 1\nlabels ["\xff"]\ncounts [1]\n')
+        code, rows, err = cli(["run", "--mode", "exact", "--load-state", str(state)], input_lines=["a"])
+        assert code == EXIT_INPUT
+        assert rows == []
+        assert err.startswith("impurity-stream: error: snapshot is not valid UTF-8:")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "tamper",
@@ -693,7 +732,10 @@ class TestDiagnostics:
         lines = err.splitlines(keepends=True)
         assert len(lines) == 4
         assert lines[0] == f"impurity-stream: DEBUG: resumed window state from {first} at event 3\n"
-        assert lines[1].startswith("impurity-stream: DEBUG: config: ")
+        assert lines[1] == (
+            "impurity-stream: DEBUG: config: RunConfig(mode='window', metric='both', window_size=None, "
+            "alpha=None, refresh_period=None, emit_every=1, input_format='lines', csv_column=0)\n"
+        )
         assert lines[2:] == [
             f"impurity-stream: DEBUG: saved window state to {second}\n",
             "impurity-stream: INFO: events=6 distinct_classes=2 gini=0.500000000 entropy=1.000000000\n",
@@ -721,15 +763,17 @@ class TestDiagnostics:
         assert capsys.readouterr().out == ""
 
     def test_cli_import_leaves_logging_out(self):
+        # Nor the slow imports behind dataclasses, or pathlib: a run needs none.
+        unused = ["logging", "dataclasses", "inspect", "pathlib"]
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", "import sys, impurity_stream.cli; print('logging' in sys.modules)"],
+            [sys.executable, "-S", "-c", f"import sys, impurity_stream.cli; print([m for m in {unused} if m in sys.modules])"],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "[]\n"
 
     def test_parse_error_message_survives_quiet(self, cli, monkeypatch):
         monkeypatch.setenv("IMPURITY_STREAM_LOG", "quiet")

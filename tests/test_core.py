@@ -157,6 +157,9 @@ class TestInterner:
         assert interner.labels == ("a", "b")
         assert "a" in interner and "z" not in interner
 
+    def test_repr_counts_labels(self):
+        assert repr(Interner(["a", "b", "a"])) == "Interner(2 labels)"
+
 
 class TestExactEstimator:
     def test_matches_direct_functions(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bits, random_impurity_walk
-from impurity_stream import GiniState, gini_exact
+from impurity_stream import EntropyState, GiniState, gini_exact
 
 count_dicts = st.dictionaries(
     st.integers(0, 999),
@@ -21,6 +21,20 @@ count_dicts = st.dictionaries(
 
 def state_of(counts) -> GiniState:
     return GiniState.from_counts(counts)
+
+
+def test_states_are_named_total_value_pairs():
+    gini, entropy = GiniState(3.0, 0.5), EntropyState(3.0, 0.5)
+    total, value = gini
+    assert (total, value) == (gini.total, gini.value) == (3.0, 0.5)
+    # Tuples compare by their numbers alone, whatever the metric.
+    assert gini == entropy == (3.0, 0.5)
+    assert GiniState() == EntropyState() == (0.0, 0.0)
+    assert repr(gini) == "GiniState(total=3.0, value=0.5)"
+    assert repr(entropy) == "EntropyState(total=3.0, value=0.5)"
+    for state in (gini, entropy):
+        with pytest.raises(AttributeError):
+            state.total = 4.0
 
 
 class TestFromCounts:
@@ -196,6 +210,9 @@ class TestOverlay:
         assert s.value == pytest.approx(0.48, abs=1e-12)
         s = GiniState(2.0, 0.5).overlay(GiniState(2.0, 0.5), cross=2.0)
         assert s.value == pytest.approx(0.5, abs=1e-12)
+
+    def test_empty_plus_empty_is_empty(self):
+        assert GiniState().overlay(GiniState(), 0.0) == GiniState()
 
     def test_rejects_negative_cross_term(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from impurity_stream import (
     load_snapshot,
     save_snapshot,
 )
+from impurity_stream.snapshot import write_snapshot
 
 
 def window_fixture(events=137):
@@ -220,6 +222,20 @@ class TestErrors:
         path.write_text(text)
         with pytest.raises(SnapshotError, match="hex float"):
             load_snapshot(path)
+
+    def test_not_utf8(self, tmp_path):
+        est, interner, events = exact_fixture(20)
+        path = tmp_path / "state.snap"
+        save_snapshot(path, "exact", est, interner, events)
+        path.write_bytes(path.read_bytes().replace(b'"label-0"', b'"label-\xff"', 1))
+        with pytest.raises(SnapshotError, match="not valid UTF-8"):
+            load_snapshot(path)
+
+    def test_unknown_mode_on_save(self):
+        out = io.StringIO()
+        with pytest.raises(SnapshotError, match="unknown mode 'sideways'"):
+            write_snapshot(out, "sideways", ExactEstimator(), Interner(), 0)
+        assert out.getvalue() == ""
 
     def test_estimator_mode_mismatch_on_save(self, tmp_path):
         with pytest.raises(SnapshotError):

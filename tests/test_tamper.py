@@ -5,7 +5,8 @@ lines, replace each numeric token with an extreme or malformed value, or cut
 the file after each line. Every variant must either end in exit 2 with one
 ``impurity-stream: error:`` line and no rows, or resume through 50 more labels
 with exit 0 and finite metrics (Gini in [0, 1], entropy >= 0), and then save
-a state that loads again.
+a state that loads again. Each resume runs a second time with a row per 16
+events, where the window reads in blocks, and must agree with the first.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ MODES = {
     "fading": ["--alpha", "0.9"],
     "exact": [],
 }
-REPLACEMENTS = ["-1", "0", "1e308", "nan", "inf", "-0x0p+0", "text"]
+# 10**20 is above sys.maxsize: a window that large must still run in blocks.
+REPLACEMENTS = ["-1", "0", "1e308", "nan", "inf", "-0x0p+0", "text", "100000000000000000000"]
 NUMBER = re.compile(r"-?0x[0-9a-f.]+p[-+]\d+|\d+")
 
 
@@ -34,6 +36,21 @@ def _run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _resume(name, argv):
+    """Run one resume. It must end in exit 2 with one error line and no
+    rows, giving None, or in exit 0 with finite metrics, giving its rows."""
+    code, out, err = _run(argv)
+    if code == EXIT_INPUT:
+        assert out == "", name
+        assert err.startswith("impurity-stream: error:") and err.count("\n") == 1, (name, err)
+        return None
+    assert (code, err) == (EXIT_OK, ""), (name, err)
+    rows = [row.split("\t") for row in out.splitlines()]
+    for _, gini, entropy in rows:
+        assert 0.0 <= float(gini) <= 1.0 and 0.0 <= float(entropy) < math.inf, (name, gini, entropy)
+    return rows
 
 
 def _variants(lines):
@@ -73,16 +90,16 @@ def test_tampered_state_is_rejected_or_resumes_sanely(tmp_path, monkeypatch, mod
         count += 1
         variant.write_text("".join(line + "\n" for line in changed), encoding="utf-8")
         resume = ["run", "--mode", mode, "--input", str(tail), "--load-state", str(variant)]
-        code, out, err = _run(resume + ["--save-state", str(again)])
-        if code == EXIT_INPUT:
-            assert out == "", name
-            assert err.startswith("impurity-stream: error:") and err.count("\n") == 1, (name, err)
+        rows = _resume(name, resume + ["--save-state", str(again)])
+        # Once more at a row per 16 events, where the window reads in blocks:
+        # the rows that end an interval, and the last, as written above.
+        sparse = _resume(name, resume + ["--emit-every", "16"])
+        if rows is None:
+            assert sparse is None, name
             continue
-        assert (code, err) == (EXIT_OK, ""), (name, err)
-        rows = [row.split("\t") for row in out.splitlines()]
         assert len(rows) == 50, name
-        for _, gini, entropy in rows:
-            assert 0.0 <= float(gini) <= 1.0 and 0.0 <= float(entropy) < math.inf, (name, gini, entropy)
+        due = [row for i, row in enumerate(rows, 1) if (int(row[0]) + 1) % 16 == 0 or i == len(rows)]
+        assert sparse == due, name
         code, _, err = _run(["run", "--mode", mode, "--input", str(head), "--load-state", str(again)])
         assert (code, err) == (EXIT_OK, ""), (name, err)
     assert count >= 50
