@@ -763,7 +763,7 @@ class TestDiagnostics:
         assert capsys.readouterr().out == ""
 
     def test_cli_import_leaves_logging_out(self):
-        # Nor the slow imports behind dataclasses, or pathlib: a run needs none.
+        # A run needs none of these; dataclasses alone pulls in inspect, ast and tokenize.
         unused = ["logging", "dataclasses", "inspect", "pathlib"]
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
