@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import os
 import sys
 from itertools import islice
-from typing import Iterable, Iterator, List, NamedTuple, Optional, TextIO
+from typing import Iterable, List, NamedTuple, Optional, TextIO
 
 from .bench import BENCH_MODES, DEFAULT_SEED, format_report, run_bench
 from .core import Interner
 from .fading import FadingEstimator
-from .snapshot import ESTIMATORS, Estimator, LoadedSnapshot, SnapshotError, load_snapshot, write_snapshot
+from .snapshot import ESTIMATORS, Estimator, LoadedSnapshot, SnapshotError, load_snapshot, replacing, write_snapshot
 from .window import SlidingWindowEstimator
 
 __all__ = ["main", "run_stream", "RunConfig", "RunSummary"]
@@ -69,7 +68,7 @@ class UsageError(Exception):
 
 
 class InputError(Exception):
-    """Malformed stream input or an unusable state file (exit code 2)."""
+    """Malformed stream input, an unusable state file or no stdout (exit code 2)."""
 
 
 class RunConfig(NamedTuple):
@@ -322,20 +321,23 @@ def _start(cfg: RunConfig, load_state: Optional[str]) -> LoadedSnapshot:
     return loaded
 
 
-@contextlib.contextmanager
-def _replacing(path: str) -> Iterator[TextIO]:
-    """A new file ``<path>.tmp-<pid>`` that replaces ``path`` when the block
-    succeeds and is removed when it fails."""
-    temp = f"{path}.tmp-{os.getpid()}"
-    out = open(temp, "x", encoding="utf-8", newline="\n")
-    try:
-        yield out
-        out.close()
-        os.replace(temp, path)
-    except BaseException:
-        out.close()
-        os.remove(temp)
-        raise
+def _check_targets(lines: TextIO, output: str, save_state: Optional[str]) -> None:
+    """Raise UsageError, before anything is opened for writing, if --output
+    would truncate the regular file ``lines`` reads, or if --output and
+    --save-state name one path."""
+    if output == "-":
+        return
+    if os.path.isfile(output) and os.path.samestat(os.fstat(lines.fileno()), os.stat(output)):
+        raise UsageError(f"--output {output} is the run's input")
+    if save_state is not None and os.path.realpath(save_state) == os.path.realpath(output):
+        raise UsageError(f"--output and --save-state both name {output}")
+
+
+def _stdout() -> TextIO:
+    """sys.stdout, which is None in a process started with fd 1 closed."""
+    if sys.stdout is None:
+        raise InputError("stdout is closed")
+    return sys.stdout
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -344,19 +346,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _log("DEBUG", f"config: {cfg}")
 
     with contextlib.ExitStack() as stack:
+        stdin = args.input == "-"
+        lines = stack.enter_context(open(0 if stdin else args.input, encoding="utf-8", closefd=not stdin))
+        _check_targets(lines, args.output, args.save_state)
         if args.save_state is not None:
             # Opened before any input is read, so an unwritable path fails first.
-            state_out = stack.enter_context(_replacing(args.save_state))
-        if args.input == "-":
-            lines: Iterable[str] = sys.stdin
-            if isinstance(lines, io.TextIOWrapper):
-                # Strict UTF-8, as a file is read, whatever the locale: in
-                # UTF-8 mode stdin would turn bad bytes into surrogates.
-                lines.reconfigure(encoding="utf-8", errors="strict")
-        else:
-            lines = stack.enter_context(open(args.input, "r", encoding="utf-8"))
+            state_out = stack.enter_context(replacing(args.save_state))
         if args.output == "-":
-            out = sys.stdout
+            out = _stdout()
         else:
             out = stack.enter_context(open(args.output, "w", encoding="utf-8", newline="\n"))
         summary = run_stream(cfg, lines, out, start.estimator, start.interner, start.events_seen)
@@ -377,6 +374,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.events < 10_000:
         raise UsageError("--events must be >= 10000")
+    out = _stdout()
     try:
         results = run_bench(
             args.classes,
@@ -389,7 +387,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    sys.stdout.write(format_report(results))
+    out.write(format_report(results))
     return EXIT_OK
 
 

@@ -19,19 +19,22 @@ bit-exactly) and a list of ints as a JSON array. The fields per mode:
 The window's counts and its exact power sums follow from its ids, the
 fading n from its counts. Each estimator's from_state() rejects a state
 that no run reaches; that, and any malformed line, ends in SnapshotError.
+
+save_snapshot and --save-state write via replacing(): temp file, then rename.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-from typing import NamedTuple, TextIO, Union
+from typing import Iterator, NamedTuple, TextIO, Union
 
 from .core import ExactEstimator, Interner
 from .fading import FadingEstimator
 from .window import SlidingWindowEstimator
 
-__all__ = ["ESTIMATORS", "SnapshotError", "LoadedSnapshot", "save_snapshot", "write_snapshot", "load_snapshot"]
+__all__ = ["ESTIMATORS", "SnapshotError", "LoadedSnapshot", "replacing", "save_snapshot", "write_snapshot", "load_snapshot"]
 
 _MAGIC = "impurity-stream-snapshot"
 _VERSION = 3
@@ -63,9 +66,25 @@ def save_snapshot(
     interner: Interner,
     events_seen: int,
 ) -> None:
-    """Write the full run state to ``path``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
+    """Write the full run state to ``path``, replacing it only on success."""
+    with replacing(path) as out:
         write_snapshot(out, mode, estimator, interner, events_seen)
+
+
+@contextlib.contextmanager
+def replacing(path: str | os.PathLike[str]) -> Iterator[TextIO]:
+    """A new file ``<path>.tmp-<pid>`` that replaces ``path`` when the block
+    succeeds and is removed when it fails."""
+    temp = f"{os.fspath(path)}.tmp-{os.getpid()}"
+    out = open(temp, "x", encoding="utf-8", newline="\n")
+    try:
+        yield out
+        out.close()
+        os.replace(temp, path)
+    except BaseException:
+        out.close()
+        os.remove(temp)
+        raise
 
 
 def write_snapshot(

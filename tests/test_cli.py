@@ -326,12 +326,85 @@ class TestUsageErrors:
         capsys.readouterr()
 
 
+def _spawn(argv, data=b"", redirect="", cwd=None):
+    """Run the CLI in a new process with ``data`` on its stdin; ``redirect``
+    is a shell redirection, such as ``<&-``, applied to it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        ["sh", "-c", f'"$@" {redirect}', "sh", sys.executable, "-m", "impurity_stream", *argv],
+        input=data,
+        capture_output=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": src, "IMPURITY_STREAM_LOG": "info"},
+    )
+
+
 class TestStdinStdout:
-    def test_dash_input_reads_stdin(self, cli, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("a\nb\n"))
-        code, rows, _ = cli(["run", "--mode", "exact"])
-        assert code == EXIT_OK
-        assert rows[-1] == "1\t0.500000000\t1.000000000"
+    @pytest.mark.parametrize(
+        "data,fmt,last_row",
+        [
+            (b"a\nb\n", "lines", "1\t0.500000000\t1.000000000"),
+            # A lone \r ends a line, as universal newlines read it from a file.
+            (b"a\rb\na\n", "lines", "2\t0.444444444\t0.918295834"),
+            (b"a\r\nb\r\n", "lines", "1\t0.500000000\t1.000000000"),
+            (b"a\r\nb\r\n", "csv", "1\t0.500000000\t1.000000000"),
+        ],
+        ids=["lf", "lone-cr", "crlf", "crlf-csv"],
+    )
+    def test_stdin_reads_like_a_file(self, tmp_path, data, fmt, last_row):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        argv = ["run", "--mode", "exact", "--format", fmt]
+        piped = _spawn(argv, data)
+        read = _spawn(argv + ["--input", str(path)])
+        assert piped.returncode == read.returncode == EXIT_OK, piped.stderr
+        assert piped.stdout == read.stdout
+        assert piped.stderr == read.stderr
+        assert piped.stdout.decode().splitlines()[-1] == last_row
+
+    @pytest.mark.parametrize(
+        "argv,redirect",
+        [
+            (["run", "--mode", "exact"], "<&-"),
+            (["run", "--mode", "exact"], ">&-"),
+            (["bench", "--classes", "5", "--events", "10000"], ">&-"),
+        ],
+        ids=["run-no-stdin", "run-no-stdout", "bench-no-stdout"],
+    )
+    def test_closed_fd_is_one_error_line(self, argv, redirect):
+        proc = _spawn(argv, b"a\n", redirect)
+        err = proc.stderr.decode()
+        assert proc.returncode == EXIT_INPUT, err
+        assert err.startswith("impurity-stream: error:") and err.count("\n") == 1
+
+    def test_bench_checks_stdout_before_timing(self, monkeypatch):
+        monkeypatch.setattr("impurity_stream.cli.run_bench", lambda *a, **k: pytest.fail("timed"))
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["bench", "--classes", "5", "--events", "10000"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "args,stdin",
+        [
+            (["--input", "f.txt", "--output", "f.txt"], None),
+            (["--output", "f.txt"], "f.txt"),
+            (["--input", "f.txt", "--output", "o.txt", "--save-state", "o.txt"], None),
+        ],
+        ids=["input", "stdin", "save-state"],
+    )
+    def test_output_naming_the_input_is_a_usage_error(self, tmp_path, args, stdin):
+        # Opening --output truncates it; the run would read nothing, or lose its rows.
+        files = {"f.txt": b"a\nb\n", "o.txt": b"old\n"}
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        proc = _spawn(["run", "--mode", "exact", *args], redirect=f"< {stdin}" if stdin else "", cwd=tmp_path)
+        err = proc.stderr.decode()
+        assert proc.returncode == EXIT_USAGE, err
+        assert err.startswith("impurity-stream: error:") and err.count("\n") == 1
+        assert proc.stdout == b""
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+    def test_dev_null_may_be_input_and_output(self, capsys):
+        assert main(["run", "--mode", "exact", "--input", os.devnull, "--output", os.devnull]) == EXIT_OK
 
     def test_non_utf8_stdin_is_rejected_like_a_file(self, tmp_path):
         # UTF-8 mode gives sys.stdin the surrogateescape handler; a run must

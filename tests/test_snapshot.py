@@ -240,9 +240,26 @@ class TestErrors:
     def test_estimator_mode_mismatch_on_save(self, tmp_path):
         with pytest.raises(SnapshotError):
             save_snapshot(tmp_path / "s", "window", FadingEstimator(0.5), Interner(), 0)
+        assert list(tmp_path.iterdir()) == []
+        self._check_failed_save_keeps_target(
+            tmp_path, "window", FadingEstimator(0.5), Interner(), 0, "requires a SlidingWindowEstimator"
+        )
 
     def test_uninterned_labels_rejected_on_save(self, tmp_path):
         est = SlidingWindowEstimator(4)
         est.observe("raw-string-label")
         with pytest.raises(SnapshotError, match="interned"):
             save_snapshot(tmp_path / "s", "window", est, Interner(), 1)
+        assert list(tmp_path.iterdir()) == []
+        self._check_failed_save_keeps_target(tmp_path, "window", est, Interner(), 1, "interned")
+
+    @staticmethod
+    def _check_failed_save_keeps_target(tmp_path, mode, est, interner, events, match):
+        """A save that fails leaves the file it would replace byte-identical,
+        and no ``*.tmp-*`` file beside it."""
+        target = tmp_path / "keep.snap"
+        target.write_bytes(b"precious\n")
+        with pytest.raises(SnapshotError, match=match):
+            save_snapshot(target, mode, est, interner, events)
+        assert target.read_bytes() == b"precious\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.snap"]
