@@ -19,9 +19,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import stat
 import sys
+from functools import partial
 from itertools import islice
-from typing import Iterable, List, NamedTuple, Optional, TextIO
+from typing import Iterable, Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
 from .bench import BENCH_MODES, DEFAULT_SEED, format_report, run_bench
 from .core import Interner
@@ -48,14 +50,18 @@ _FLAGS = {
     "--alpha": ("alpha", FadingEstimator, "alpha", True),
 }
 
-# run_stream reads blocks of at most _BLOCK lines, each ending no later than
-# the next emit point, when the estimator has observe_many and a row is
-# written every _BLOCK_FROM or more events; otherwise it reads line by line.
-# Below 16 events per row the per-block costs outweigh the batched update:
-# in process, the block loop took 1.7x the per-line loop's time at 1 event
-# per row, 1.2-1.4x at 2 to 4, 0.9-1.1x at 6 to 12 and 0.83-0.86x at 16.
-# Larger blocks spread those costs thinner but hold more lines at once: on
-# window-zipf, 2048 raised peak RSS by about 0.6 MiB and 256 by about 0.1.
+# run_stream reads a regular file _CHUNK characters at a time and splits the
+# chunks into lines. Other input (a pipe, a tty, any iterable of lines) it
+# reads in blocks that end no later than the next emit point when a row is
+# written every _BLOCK_FROM or more events, and line by line otherwise: there
+# a row is written before any line past it is read. Below 16 events per row
+# the per-block costs outweighed the batched update on a pipe: in process,
+# the block loop took 1.7x the per-line loop's time at 1 event per row,
+# 1.2-1.4x at 2 to 4, 0.9-1.1x at 6 to 12 and 0.83-0.86x at 16. Either way
+# the estimator observes at most _BLOCK labels per call, and at most that
+# many rows are held at once: on window-zipf, blocks of 2048 lines raised
+# peak RSS by about 0.6 MiB and 256 by about 0.1.
+_CHUNK = 2048
 _BLOCK = 256
 _BLOCK_FROM = 16
 
@@ -89,12 +95,12 @@ class RunSummary(NamedTuple):
     entropy: float
 
 
-# One row format per --metric. Every row formats (index, gini, entropy); the
-# field numbers pick the columns, so an unselected metric is never formatted.
-_ROW_FORMATS = {
-    "gini": "{0}\t{1:.9f}\n",
-    "entropy": "{0}\t{2:.9f}\n",
-    "both": "{0}\t{1:.9f}\t{2:.9f}\n",
+# The text of a list of (index, gini, entropy) rows, per --metric; an
+# unselected metric is never formatted.
+_ROWS = {
+    "gini": lambda rows: "".join(["%d\t%.9f\n" % (index, gini) for index, gini, _ in rows]),
+    "entropy": lambda rows: "".join(["%d\t%.9f\n" % (index, entropy) for index, _, entropy in rows]),
+    "both": lambda rows: "".join(["%d\t%.9f\t%.9f\n" % row for row in rows]),
 }
 
 
@@ -120,25 +126,44 @@ def run_stream(
     Rows go straight to ``out``, which does its own buffering. Exact-mode
     metrics are only computed at emit points.
 
-    If the estimator has ``observe_many`` and ``emit_every`` is at least
-    ``_BLOCK_FROM``, lines are read in blocks of at most ``_BLOCK`` that end
-    no later than the next emit point, and each block goes to
-    ``observe_many`` in one call; otherwise they are read one at a time.
-    Either way a row is written as soon as its last line is read: no line
-    past it is pulled from ``lines`` first. Rows, errors and the estimator's
-    state are those that reading line by line gives.
+    A text file on a regular file is read ``_CHUNK`` characters at a time
+    and split on ``"\n"``; that gives its lines when it translates newlines,
+    as ``open`` does by default (ValueError if a ``"\r"`` shows that it does
+    not). Other input is read in blocks that end no later than the next emit
+    point when ``emit_every`` is at least ``_BLOCK_FROM``, and line by line
+    otherwise, so a row is written before any line past it is pulled from
+    ``lines``. A block of at most ``_BLOCK`` lines is interned with the
+    interner's ``intern_many`` and observed with the estimator's
+    ``observe_block``, which returns the block's rows; an interner with only
+    ``intern`` and an estimator with only ``observe`` and ``metrics`` are
+    called once per line instead. Rows, errors and the estimator's state are
+    those that reading line by line gives.
     """
-    observe = estimator.observe
-    metrics = estimator.metrics
-    intern = interner.intern
     write = out.write
-    row = _ROW_FORMATS[cfg.metric].format
+    text = _ROWS[cfg.metric]
     emit_every = cfg.emit_every
     csv = cfg.input_format == "csv"
     column = cfg.csv_column
     events = start_index
-    observe_many = getattr(estimator, "observe_many", None)
-    if observe_many is None or emit_every < _BLOCK_FROM:
+    regular = _regular_file(lines)
+    if regular or emit_every >= _BLOCK_FROM:
+        blocks = _chunk_blocks(lines) if regular else _emit_blocks(lines, emit_every, start_index)
+        observe_block = getattr(estimator, "observe_block", None) or partial(_observe_each, estimator)
+        intern_many = getattr(interner, "intern_many", None) or partial(_intern_each, interner)
+        for block in blocks:
+            labels = _block_labels(block, csv, column)
+            good = len(labels)
+            if good:
+                rows = observe_block(intern_many(labels), events, emit_every)
+                if rows:
+                    write(text(rows))
+                events += good
+            if good < len(block):
+                raise _bad_line(events - start_index + 1, block[good], csv, column)
+    else:
+        observe = estimator.observe
+        metrics = estimator.metrics
+        intern = interner.intern
         for raw in lines:
             if csv:
                 fields = raw.rstrip("\r\n").split(",")
@@ -152,30 +177,78 @@ def run_stream(
             observe(intern(label))
             events += 1
             if events % emit_every == 0:
-                gini_value, entropy_value = metrics()
-                write(row(events - 1, gini_value, entropy_value))
-    else:
-        source = iter(lines)
-        while True:
-            wanted = min(_BLOCK, emit_every - events % emit_every)
-            block = list(islice(source, wanted))
-            labels = _block_labels(block, csv, column)
-            good = len(labels)
-            if good:
-                observe_many(list(map(intern, labels)))
-                events += good
-                if events % emit_every == 0:
-                    gini_value, entropy_value = metrics()
-                    write(row(events - 1, gini_value, entropy_value))
-            if good < len(block):
-                raise _bad_line(events - start_index + 1, block[good], csv, column)
-            if len(block) < wanted:
-                break
+                write(text([(events - 1, *metrics())]))
     if events > start_index and events % emit_every:
-        gini_value, entropy_value = metrics()
-        write(row(events - 1, gini_value, entropy_value))
-    gini_value, entropy_value = metrics()
+        write(text([(events - 1, *estimator.metrics())]))
+    gini_value, entropy_value = estimator.metrics()
     return RunSummary(events=events, classes=len(interner), gini=gini_value, entropy=entropy_value)
+
+
+def _regular_file(lines: Iterable[str]) -> bool:
+    """Whether ``lines`` is an open file on a regular file."""
+    try:
+        return stat.S_ISREG(os.fstat(lines.fileno()).st_mode)  # type: ignore[attr-defined]
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+def _chunk_blocks(source: TextIO) -> Iterator[List[str]]:
+    """The lines of ``source`` without their ``"\n"``, in blocks of at most
+    _BLOCK, read _CHUNK characters at a time."""
+    read = source.read
+    head: List[str] = []  # the pieces of a line that no chunk has ended yet
+    while True:
+        chunk = read(_CHUNK)
+        if not chunk:
+            break
+        if "\r" in chunk:
+            raise ValueError("a regular file must be read with its newlines translated (newline=None)")
+        lines = chunk.split("\n")
+        if len(lines) == 1:
+            head.append(chunk)
+            continue
+        if head:
+            head.append(lines[0])
+            lines[0] = "".join(head)
+        head = [lines.pop()]
+        for first in range(0, len(lines), _BLOCK):
+            yield lines[first : first + _BLOCK]
+    last = "".join(head)
+    if last:
+        yield [last]
+
+
+def _emit_blocks(lines: Iterable[str], emit_every: int, events: int) -> Iterator[List[str]]:
+    """The lines of ``lines`` in blocks of at most _BLOCK that end no later
+    than the next emit point after ``events`` events; a block is read only
+    when the one before it has been taken, and nothing after a short one."""
+    source = iter(lines)
+    while True:
+        wanted = min(_BLOCK, emit_every - events % emit_every)
+        block = list(islice(source, wanted))
+        if block:
+            yield block
+        if len(block) < wanted:
+            return
+        events += wanted
+
+
+def _observe_each(
+    estimator: Estimator, labels: List[int], seen: int, every: int
+) -> List[Tuple[int, float, float]]:
+    """observe_block for an estimator with only observe() and metrics()."""
+    rows = []
+    for label in labels:
+        estimator.observe(label)
+        seen += 1
+        if seen % every == 0:
+            rows.append((seen - 1, *estimator.metrics()))
+    return rows
+
+
+def _intern_each(interner: Interner, labels: List[str]) -> List[int]:
+    """intern_many for an interner with only intern()."""
+    return list(map(interner.intern, labels))
 
 
 def _block_labels(block: List[str], csv: bool, column: int) -> List[str]:
@@ -323,13 +396,17 @@ def _start(cfg: RunConfig, load_state: Optional[str]) -> LoadedSnapshot:
 
 def _check_targets(lines: TextIO, output: str, save_state: Optional[str]) -> None:
     """Raise UsageError, before anything is opened for writing, if --output
-    would truncate the regular file ``lines`` reads, or if --output and
-    --save-state name one path."""
-    if output == "-":
-        return
-    if os.path.isfile(output) and os.path.samestat(os.fstat(lines.fileno()), os.stat(output)):
-        raise UsageError(f"--output {output} is the run's input")
-    if save_state is not None and os.path.realpath(save_state) == os.path.realpath(output):
+    or --save-state names the regular file ``lines`` reads, which opening
+    --output would truncate and --save-state would replace, or if both name
+    one path."""
+    named = [] if output == "-" else [("--output", output)]
+    if save_state is not None:
+        named.append(("--save-state", save_state))
+    source = os.fstat(lines.fileno())
+    for flag, path in named:
+        if os.path.isfile(path) and os.path.samestat(source, os.stat(path)):
+            raise UsageError(f"{flag} {path} is the run's input")
+    if len(named) == 2 and os.path.realpath(save_state) == os.path.realpath(output):
         raise UsageError(f"--output and --save-state both name {output}")
 
 

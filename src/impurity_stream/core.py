@@ -17,7 +17,7 @@ Empty samples (S = 0) have both metrics defined as 0, and terms of the form
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, List, Mapping, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 __all__ = [
     "Label",
@@ -118,6 +118,14 @@ class Interner:
             self._labels.append(label)
         return class_id
 
+    def intern_many(self, labels: Sequence[str]) -> List[int]:
+        """The ids of ``labels``, as intern() on each in turn gives them."""
+        ids = list(map(self._ids.get, labels))
+        if None in ids:
+            intern = self.intern
+            ids = [intern(label) if class_id is None else class_id for label, class_id in zip(labels, ids)]
+        return ids
+
     def label_of(self, class_id: int) -> str:
         return self._labels[class_id]
 
@@ -201,6 +209,21 @@ class ExactEstimator:
 
     def metrics(self) -> Tuple[float, float]:
         return (gini_exact(self.counts), entropy_exact(self.counts))
+
+    def observe_block(self, labels: Sequence[Label], seen: int, every: int) -> List[Tuple[int, float, float]]:
+        """Observe ``labels`` as the events after the first ``seen`` of a
+        stream; returns an ``(index, gini, entropy)`` row for each event
+        whose count is a multiple of ``every``, its index one less. The
+        metrics are computed only for those rows."""
+        counts = self.counts
+        get = counts.get
+        rows = []
+        for label in labels:
+            counts[label] = get(label, 0) + 1
+            seen += 1
+            if seen % every == 0:
+                rows.append((seen - 1, gini_exact(counts), entropy_exact(counts)))
+        return rows
 
     def state(self) -> Dict[str, object]:
         """The fields that restore this estimator; see ``snapshot``."""

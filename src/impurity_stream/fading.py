@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .core import Label, counts_by_id, counts_from_ids, state_fields
 
@@ -58,6 +58,46 @@ class FadingEstimator:
         self.h = old_part - p * log2(p) + (q * log2(q) if n_i else 0.0)
         self.n = new_n
         counts[label] = n_i + 1
+
+    def observe_block(self, labels: Sequence[Label], seen: int, every: int) -> List[Tuple[int, float, float]]:
+        """Observe ``labels`` as the events after the first ``seen`` of a
+        stream; returns an ``(index, gini, entropy)`` row for each event
+        whose count is a multiple of ``every``, its index one less.
+
+        The loop is observe() and metrics() inlined, with every operation in
+        their order, so the state and the rows are bit-identical to theirs.
+        """
+        log2 = math.log2
+        counts = self.counts
+        get = counts.get
+        alpha = self.alpha
+        n = self.n
+        g = self.g
+        h = self.h
+        rows = []
+        for label in labels:
+            n_i = get(label, 0)
+            new_n = n + 1
+            numer = n * n * (1.0 - alpha * g) + 2.0 * n_i + 1.0
+            g = 1.0 - numer / (new_n * new_n)
+            if n:
+                q = n / new_n
+                old_part = q * (alpha * h - log2(q))
+            else:
+                old_part = 0.0
+            p = (n_i + 1) / new_n
+            q = n_i / new_n
+            h = old_part - p * log2(p) + (q * log2(q) if n_i else 0.0)
+            n = new_n
+            counts[label] = n_i + 1
+            seen += 1
+            if seen % every == 0:
+                gini = g if 0.0 < g < 1.0 else (1.0 if g >= 1.0 else 0.0)
+                rows.append((seen - 1, gini, h if h > 0.0 else 0.0))
+        self.n = n
+        self.g = g
+        self.h = h
+        return rows
 
     def metrics(self) -> Tuple[float, float]:
         """Current (gini, entropy) clamped for reporting; O(1).

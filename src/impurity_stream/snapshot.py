@@ -49,7 +49,8 @@ Estimator = Union[SlidingWindowEstimator, FadingEstimator, ExactEstimator]
 
 
 class SnapshotError(ValueError):
-    """A snapshot file is corrupt, has an unknown version, or a wrong mode."""
+    """A snapshot file is corrupt, has an unknown version, or a wrong mode,
+    or a snapshot's target is not a regular file."""
 
 
 class LoadedSnapshot(NamedTuple):
@@ -74,13 +75,24 @@ def save_snapshot(
 @contextlib.contextmanager
 def replacing(path: str | os.PathLike[str]) -> Iterator[TextIO]:
     """A new file ``<path>.tmp-<pid>`` that replaces ``path`` when the block
-    succeeds and is removed when it fails."""
-    temp = f"{os.fspath(path)}.tmp-{os.getpid()}"
+    succeeds and is removed when it fails.
+
+    A symlink ``path`` is followed: the temp file is made beside the file it
+    names, which is replaced, and the link stays. A ``path`` that exists and
+    is not a regular file, such as a FIFO, a device or a directory, raises
+    SnapshotError before anything is created.
+    """
+    target = os.fspath(path)
+    if os.path.islink(target):
+        target = os.path.realpath(target)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise SnapshotError(f"{os.fspath(path)} is not a regular file")
+    temp = f"{target}.tmp-{os.getpid()}"
     out = open(temp, "x", encoding="utf-8", newline="\n")
     try:
         yield out
         out.close()
-        os.replace(temp, path)
+        os.replace(temp, target)
     except BaseException:
         out.close()
         os.remove(temp)

@@ -160,6 +160,30 @@ class SlidingWindowEstimator:
             since %= period
         self.events_since_refresh = since
 
+    def observe_block(self, labels: Sequence[Label], seen: int, every: int) -> List[Tuple[int, float, float]]:
+        """Observe ``labels`` as the events after the first ``seen`` of a
+        stream; returns an ``(index, gini, entropy)`` row for each event
+        whose count is a multiple of ``every``, its index one less.
+
+        Each run of labels up to such an event goes to observe_many(), or
+        to observe() when it is one label long: observe_many() costs more
+        to set up than one observe().
+        """
+        rows = []
+        start = 0
+        end = every - seen % every
+        while end <= len(labels):
+            if end - start == 1:
+                self.observe(labels[start])
+            else:
+                self.observe_many(labels[start:end])
+            rows.append((seen + end - 1, *self.metrics()))
+            start = end
+            end += every
+        if start < len(labels):
+            self.observe_many(labels[start:])
+        return rows
+
     def refresh(self) -> None:
         """Rebuild ``s2`` and ``t`` from the window's class counts."""
         # Many classes share a count, so sum over the distinct counts.

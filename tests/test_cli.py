@@ -388,11 +388,14 @@ class TestStdinStdout:
             (["--input", "f.txt", "--output", "f.txt"], None),
             (["--output", "f.txt"], "f.txt"),
             (["--input", "f.txt", "--output", "o.txt", "--save-state", "o.txt"], None),
+            (["--input", "f.txt", "--save-state", "f.txt"], None),
+            (["--save-state", "f.txt"], "f.txt"),
         ],
-        ids=["input", "stdin", "save-state"],
+        ids=["input", "stdin", "save-state", "state-input", "state-stdin"],
     )
     def test_output_naming_the_input_is_a_usage_error(self, tmp_path, args, stdin):
-        # Opening --output truncates it; the run would read nothing, or lose its rows.
+        # Opening --output truncates it, and --save-state replaces it; the run
+        # would read nothing, or lose its rows or its input.
         files = {"f.txt": b"a\nb\n", "o.txt": b"old\n"}
         for name, data in files.items():
             (tmp_path / name).write_bytes(data)
@@ -665,6 +668,31 @@ class TestStatePersistence:
         assert rows == []
         assert err.startswith("impurity-stream: error:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_save_state_that_is_no_regular_file_fails_before_any_row(self, tmp_path, kind):
+        # Renaming the state over it would turn a FIFO or an empty directory
+        # into a regular file.
+        target = tmp_path / "target"
+        os.mkfifo(target) if kind == "fifo" else target.mkdir()
+        proc = _spawn(["run", "--mode", "exact", "--save-state", "target"], b"a\nb\n", cwd=tmp_path)
+        err = proc.stderr.decode()
+        assert proc.returncode == EXIT_INPUT, err
+        assert err == "impurity-stream: error: target is not a regular file\n"
+        assert proc.stdout == b""
+        assert [p.name for p in tmp_path.iterdir()] == ["target"]
+        assert target.is_fifo() if kind == "fifo" else target.is_dir()
+
+    def test_save_state_through_a_symlink_replaces_its_target(self, cli, tmp_path):
+        real = tmp_path / "real.snap"
+        real.write_text("previous\n", encoding="utf-8")
+        link = tmp_path / "link.snap"
+        link.symlink_to(real.name)
+        code, _, _ = cli(["run", "--mode", "exact", "--save-state", str(link)], input_lines=["a", "b"])
+        assert code == EXIT_OK
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert real.read_text(encoding="utf-8").startswith("impurity-stream-snapshot 3 exact\n")
+        assert sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".snap") == ["link.snap", "real.snap"]
 
     def test_failed_run_leaves_no_temp_state(self, cli, tmp_path):
         state = tmp_path / "state.snap"

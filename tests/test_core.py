@@ -157,6 +157,15 @@ class TestInterner:
         assert interner.labels == ("a", "b")
         assert "a" in interner and "z" not in interner
 
+    def test_intern_many_matches_intern(self):
+        batched, single = Interner(["x"]), Interner(["x"])
+        # New labels, each repeated inside the block, between known ones.
+        block = ["y", "x", "z", "y", "z", "x"]
+        assert batched.intern_many(block) == [single.intern(label) for label in block] == [1, 0, 2, 1, 2, 0]
+        assert batched.labels == single.labels == ("x", "y", "z")
+        assert batched.intern_many(["z", "x"]) == [2, 0]
+        assert batched.intern_many([]) == []
+
     def test_repr_counts_labels(self):
         assert repr(Interner(["a", "b", "a"])) == "Interner(2 labels)"
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import os
 import random
 
 import pytest
@@ -252,6 +253,26 @@ class TestErrors:
             save_snapshot(tmp_path / "s", "window", est, Interner(), 1)
         assert list(tmp_path.iterdir()) == []
         self._check_failed_save_keeps_target(tmp_path, "window", est, Interner(), 1, "interned")
+
+    def test_save_over_a_fifo_is_refused(self, tmp_path):
+        fifo = tmp_path / "p"
+        os.mkfifo(fifo)
+        est, interner, events = exact_fixture()
+        with pytest.raises(SnapshotError, match="is not a regular file"):
+            save_snapshot(fifo, "exact", est, interner, events)
+        assert fifo.is_fifo()
+        assert [p.name for p in tmp_path.iterdir()] == ["p"]
+
+    def test_save_through_a_symlink_replaces_its_target(self, tmp_path):
+        real = tmp_path / "real.snap"
+        real.write_bytes(b"old\n")
+        link = tmp_path / "link.snap"
+        link.symlink_to(real)
+        est, interner, events = exact_fixture()
+        save_snapshot(link, "exact", est, interner, events)
+        assert link.is_symlink() and link.resolve() == real
+        assert load_snapshot(real).estimator.counts == est.counts
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.snap", "real.snap"]
 
     @staticmethod
     def _check_failed_save_keeps_target(tmp_path, mode, est, interner, events, match):

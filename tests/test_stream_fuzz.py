@@ -1,11 +1,11 @@
 """Seeded random streams through run_stream against a line-by-line reference.
 
-run_stream reads blocks of lines when the estimator takes them and it
-writes a row per 16 or more events. Whatever the cadence, resume point,
-input object or bad line, its rows, errors, estimator state and summary
-must be those of the plain per-line loop below. It must not pull a line
-before writing every row due from the lines before it, nor pull again once
-the input has ended.
+run_stream reads a regular file in chunks, and other input in blocks of
+lines when it writes a row per 16 or more events. Whatever the cadence,
+resume point, input object, chunk size or bad line, its rows, errors,
+estimator state and summary must be those of the plain per-line loop below.
+From other input it must not pull a line before writing every row due from
+the lines before it, nor pull again once the input has ended.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import pytest
 
 from conftest import bits
 from impurity_stream import ExactEstimator, FadingEstimator, Interner, SlidingWindowEstimator
+from impurity_stream import cli
 from impurity_stream.cli import InputError, RunConfig, run_stream
 
 EMIT_EVERY = [1, 2, 7, 15, 16, 17, 255, 256, 257, 1000]
@@ -183,5 +184,147 @@ def test_run_stream_matches_line_by_line(tmp_path, emit_every, input_format, sou
             assert str(caught.value) == error
 
     assert out.getvalue() == "".join(rows)
+    assert state_of(estimator) == state_of(ref_estimator)
+    assert interner.labels == ref_interner.labels
+
+
+# (line ending choices, label format, input format): each case's stream.
+EDGE_CASES = {
+    "crlf": (["\r\n"], "c{}", "lines"),
+    "lone-cr": (["\r", "\n", "\r\n"], "c{}", "lines"),
+    "no-final-newline": (["\n"], "c{}", "lines"),
+    "utf8": (["\n", "\r\n"], "{}\u00e9\u65e5\U0001f600", "lines"),
+    "csv": (["\n", "\r\n"], "{},c{},x", "csv"),
+    "bad-at-edge": (["\n"], "c{}", "lines"),
+    "resumed": (["\n", "\r\n"], "c{}", "lines"),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+def test_chunked_file_matches_line_by_line(tmp_path, monkeypatch, case, chunk):
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    endings, label_format, input_format = EDGE_CASES[case]
+    rng = random.Random(f"{case}-{chunk}")
+    emit_every = rng.choice([1, 3, 16, 1000])
+    start_index = rng.randrange(1, 3 * emit_every + 1) if case == "resumed" else 0
+    classes = [rng.randrange(30) for _ in range(start_index + 600)]
+    labels = [f"c{c}" for c in classes]
+    lines = [label_format.format(c, c) + rng.choice(endings) for c in classes[start_index:]]
+    if case == "crlf":
+        # The \r of line 1361 is byte 8191: it ends the first 8 KiB that the
+        # text layer decodes, and its \n starts the next.
+        lines = ["w" * 25 + "\r\n"] + [f"c{c:03d}\r\n" for c in classes[:1400]]
+    if case == "no-final-newline":
+        lines[-1] = lines[-1].rstrip("\r\n")
+    if case == "bad-at-edge":
+        # Blank out, keeping its length, the line that holds a chunk's first character.
+        edge = chunk * (300 // chunk)
+        offset = 0
+        for at, line in enumerate(lines):
+            if offset <= edge < offset + len(line):
+                lines[at] = " " * (len(line) - 1) + "\n"
+                break
+            offset += len(line)
+    path = tmp_path / "stream.txt"
+    path.write_bytes("".join(lines).encode("utf-8"))
+    cfg = RunConfig(mode="window", emit_every=emit_every, input_format=input_format, csv_column=1)
+    make_estimator = ESTIMATORS[rng.randrange(len(ESTIMATORS))]
+
+    def resumed():
+        estimator, interner = make_estimator(), Interner()
+        for label in labels[:start_index]:
+            estimator.observe(interner.intern(label))
+        return estimator, interner
+
+    ref_estimator, ref_interner = resumed()
+    with path.open(encoding="utf-8") as f:
+        rows, error, summary = reference(cfg, f.readlines(), ref_estimator, ref_interner, start_index)
+    assert (error is not None) == (case == "bad-at-edge")
+
+    estimator, interner = resumed()
+    out = io.StringIO()
+    with path.open(encoding="utf-8") as f:
+        if error is None:
+            result = run_stream(cfg, f, out, estimator, interner, start_index)
+            assert (result.events, result.classes) == summary[:2]
+            assert [bits(result.gini), bits(result.entropy)] == [bits(v) for v in summary[2]]
+        else:
+            with pytest.raises(InputError) as caught:
+                run_stream(cfg, f, out, estimator, interner, start_index)
+            assert str(caught.value) == error
+    assert out.getvalue() == "".join(rows)
+    assert state_of(estimator) == state_of(ref_estimator)
+    assert interner.labels == ref_interner.labels
+
+
+def test_untranslated_newlines_are_refused(tmp_path):
+    path = tmp_path / "stream.txt"
+    path.write_bytes(b"a\r\nb\r\n")
+    with path.open(encoding="utf-8", newline="") as f, pytest.raises(ValueError, match="newline=None"):
+        run_stream(RunConfig(mode="exact"), f, io.StringIO(), ExactEstimator(), Interner())
+
+
+def out_of_range_fading():
+    """A fading estimator whose raw values, as a state file may hold them,
+    lie outside the range that metrics() clamps to for some events."""
+    estimator = FadingEstimator(0.9)
+    estimator.observe(0)
+    estimator.g, estimator.h = 40.0, -100.0
+    return estimator
+
+
+@pytest.mark.parametrize("every", [1, 2, 5, 16])
+@pytest.mark.parametrize("seen", [0, 3])
+@pytest.mark.parametrize("make_estimator", ESTIMATORS + [out_of_range_fading])
+def test_observe_block_matches_observe_and_metrics(make_estimator, seen, every):
+    rng = random.Random(f"{every}-{seen}")
+    ids = [rng.randrange(6) for _ in range(40)]
+    reference_estimator = make_estimator()
+    expected = []
+    for count, class_id in enumerate(ids, seen + 1):
+        reference_estimator.observe(class_id)
+        if count % every == 0:
+            expected.append((count - 1, *map(bits, reference_estimator.metrics())))
+    for split in range(len(ids) + 1):
+        estimator = make_estimator()
+        rows = estimator.observe_block(ids[:split], seen, every)
+        rows += estimator.observe_block(ids[split:], seen + split, every)
+        assert [(index, bits(gini), bits(entropy)) for index, gini, entropy in rows] == expected
+        assert state_of(estimator) == state_of(reference_estimator)
+
+
+class OnlyObserve:
+    """An estimator with observe() and metrics() alone."""
+
+    def __init__(self, inner):
+        self.observe, self.metrics = inner.observe, inner.metrics
+
+
+class OnlyIntern:
+    """An interner with intern() and len() alone."""
+
+    def __init__(self, inner):
+        self.intern, self.inner = inner.intern, inner
+
+    def __len__(self):
+        return len(self.inner)
+
+
+@pytest.mark.parametrize("emit_every", [1, 1000])
+def test_duck_typed_estimator_and_interner_read_a_file(tmp_path, emit_every):
+    rng = random.Random(emit_every)
+    path = tmp_path / "stream.txt"
+    path.write_text("".join(f"c{rng.randrange(40)}\n" for _ in range(3000)), encoding="utf-8")
+    cfg = RunConfig(mode="fading", emit_every=emit_every)
+    ref_estimator, ref_interner = FadingEstimator(0.99), Interner()
+    with path.open(encoding="utf-8") as f:
+        rows, _, summary = reference(cfg, f.readlines(), ref_estimator, ref_interner, 0)
+    estimator, interner = FadingEstimator(0.99), Interner()
+    out = io.StringIO()
+    with path.open(encoding="utf-8") as f:
+        result = run_stream(cfg, f, out, OnlyObserve(estimator), OnlyIntern(interner))
+    assert out.getvalue() == "".join(rows)
+    assert (result.events, result.classes) == summary[:2]
     assert state_of(estimator) == state_of(ref_estimator)
     assert interner.labels == ref_interner.labels
