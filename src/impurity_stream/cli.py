@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import stat
 import sys
-from functools import partial
-from itertools import islice
-from typing import Iterable, Iterator, List, NamedTuple, Optional, TextIO, Tuple
+from itertools import chain, islice
+from typing import Iterable, Iterator, List, NamedTuple, Optional, TextIO
 
 from .bench import BENCH_MODES, DEFAULT_SEED, format_report, run_bench
 from .core import Interner
@@ -50,14 +50,16 @@ _FLAGS = {
     "--alpha": ("alpha", FadingEstimator, "alpha", True),
 }
 
-# run_stream reads a regular file _CHUNK characters at a time and splits the
-# chunks into lines. Other input (a pipe, a tty, any iterable of lines) it
-# reads in blocks that end no later than the next emit point when a row is
-# written every _BLOCK_FROM or more events, and line by line otherwise: there
-# a row is written before any line past it is read. Below 16 events per row
-# the per-block costs outweighed the batched update on a pipe: in process,
-# the block loop took 1.7x the per-line loop's time at 1 event per row,
-# 1.2-1.4x at 2 to 4, 0.9-1.1x at 6 to 12 and 0.83-0.86x at 16. Either way
+# run_stream reads a regular file that translates newlines _CHUNK characters
+# at a time and splits the chunks into lines. Other input (a pipe, a tty, any
+# iterable of lines) it reads in blocks that end no later than the next emit
+# point when a row is written every _BLOCK_FROM or more events, and line by
+# line otherwise: there a row is written before any line past it is read.
+# Below 16 events per row the per-block costs outweighed the batched update:
+# in process, over an iterator of lines, the block loop took 1.5-1.7x the
+# per-line loop's time at 1 event per row for the window and fading
+# estimators (1.0-1.2x for exact, whose metrics cost more), 1.0-1.1x at 8
+# and 0.82-1.03x at 16 for all three, and 0.65-1.05x at 64 or more. Either way
 # the estimator observes at most _BLOCK labels per call, and at most that
 # many rows are held at once: on window-zipf, blocks of 2048 lines raised
 # peak RSS by about 0.6 MiB and 256 by about 0.1.
@@ -126,18 +128,17 @@ def run_stream(
     Rows go straight to ``out``, which does its own buffering. Exact-mode
     metrics are only computed at emit points.
 
-    A text file on a regular file is read ``_CHUNK`` characters at a time
-    and split on ``"\n"``; that gives its lines when it translates newlines,
-    as ``open`` does by default (ValueError if a ``"\r"`` shows that it does
-    not). Other input is read in blocks that end no later than the next emit
-    point when ``emit_every`` is at least ``_BLOCK_FROM``, and line by line
-    otherwise, so a row is written before any line past it is pulled from
-    ``lines``. A block of at most ``_BLOCK`` lines is interned with the
-    interner's ``intern_many`` and observed with the estimator's
-    ``observe_block``, which returns the block's rows; an interner with only
-    ``intern`` and an estimator with only ``observe`` and ``metrics`` are
-    called once per line instead. Rows, errors and the estimator's state are
-    those that reading line by line gives.
+    A text file on a regular file is read in blocks of at most ``_BLOCK``
+    lines; one that translates newlines, as ``open`` does by default, is
+    read ``_CHUNK`` characters at a time and split on ``"\n"``. Other input
+    is read in blocks that end no later than the next emit point when
+    ``emit_every`` is at least ``_BLOCK_FROM``, and line by line otherwise,
+    so a row is written before any line past it is pulled from ``lines``.
+    A block is interned with the interner's ``intern_many`` and observed
+    with the estimator's ``observe_block``, which returns the block's rows.
+    An estimator without ``observe_block`` or an interner without
+    ``intern_many`` is called line by line, on any input. Rows, errors and
+    the estimator's state are those that reading line by line gives.
     """
     write = out.write
     text = _ROWS[cfg.metric]
@@ -146,10 +147,10 @@ def run_stream(
     column = cfg.csv_column
     events = start_index
     regular = _regular_file(lines)
-    if regular or emit_every >= _BLOCK_FROM:
-        blocks = _chunk_blocks(lines) if regular else _emit_blocks(lines, emit_every, start_index)
-        observe_block = getattr(estimator, "observe_block", None) or partial(_observe_each, estimator)
-        intern_many = getattr(interner, "intern_many", None) or partial(_intern_each, interner)
+    observe_block = getattr(estimator, "observe_block", None)
+    intern_many = getattr(interner, "intern_many", None)
+    if observe_block and intern_many and (regular or emit_every >= _BLOCK_FROM):
+        blocks = _file_blocks(lines) if regular else _emit_blocks(lines, emit_every, start_index)
         for block in blocks:
             labels = _block_labels(block, csv, column)
             good = len(labels)
@@ -192,17 +193,39 @@ def _regular_file(lines: Iterable[str]) -> bool:
         return False
 
 
-def _chunk_blocks(source: TextIO) -> Iterator[List[str]]:
-    """The lines of ``source`` without their ``"\n"``, in blocks of at most
-    _BLOCK, read _CHUNK characters at a time."""
+def _file_blocks(source: TextIO) -> Iterator[List[str]]:
+    """The lines that iterating over ``source``, a text file on a regular
+    file, gives, with or without their line ends, in blocks of at most
+    _BLOCK. While the file shows that it translates newlines it is read
+    _CHUNK characters at a time and split on ``"\n"``; otherwise its lines
+    are taken as they come (_emit_blocks with an emit point every _BLOCK
+    events gives plain blocks)."""
+    try:
+        start = source.tell()
+    except OSError:  # tell() is off once next() has read from the file
+        yield from _emit_blocks(source, _BLOCK, 0)
+        return
     read = source.read
     head: List[str] = []  # the pieces of a line that no chunk has ended yet
+    checked = False
     while True:
         chunk = read(_CHUNK)
         if not chunk:
             break
+        if not checked and ("\n" in chunk or "\r" in chunk):
+            checked = True
+            if getattr(source, "newlines", None) is None:
+                # Only universal newlines record the newlines read; lines
+                # here end at a fixed string (newline="\r\n", say).
+                source.seek(start)
+                yield from _emit_blocks(source, _BLOCK, 0)
+                return
         if "\r" in chunk:
-            raise ValueError("a regular file must be read with its newlines translated (newline=None)")
+            # newline="": a lone "\r" and "\r\n" end lines too. readline()
+            # ends the pending line, or takes the "\n" of a split "\r\n".
+            rest = io.StringIO("".join(head) + chunk + source.readline(), newline="")
+            yield from _emit_blocks(chain(rest, source), _BLOCK, 0)
+            return
         lines = chunk.split("\n")
         if len(lines) == 1:
             head.append(chunk)
@@ -231,24 +254,6 @@ def _emit_blocks(lines: Iterable[str], emit_every: int, events: int) -> Iterator
         if len(block) < wanted:
             return
         events += wanted
-
-
-def _observe_each(
-    estimator: Estimator, labels: List[int], seen: int, every: int
-) -> List[Tuple[int, float, float]]:
-    """observe_block for an estimator with only observe() and metrics()."""
-    rows = []
-    for label in labels:
-        estimator.observe(label)
-        seen += 1
-        if seen % every == 0:
-            rows.append((seen - 1, *estimator.metrics()))
-    return rows
-
-
-def _intern_each(interner: Interner, labels: List[str]) -> List[int]:
-    """intern_many for an interner with only intern()."""
-    return list(map(interner.intern, labels))
 
 
 def _block_labels(block: List[str], csv: bool, column: int) -> List[str]:

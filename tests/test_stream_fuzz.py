@@ -258,11 +258,47 @@ def test_chunked_file_matches_line_by_line(tmp_path, monkeypatch, case, chunk):
     assert interner.labels == ref_interner.labels
 
 
-def test_untranslated_newlines_are_refused(tmp_path):
+@pytest.mark.parametrize("chunk", [1, 3, 64, 2048])
+@pytest.mark.parametrize("newline", ["", "\n", "\r", "\r\n"])
+def test_untranslated_newlines_give_the_files_own_lines(tmp_path, monkeypatch, newline, chunk):
+    # A file opened without newline translation is split where iterating
+    # over it splits it, also when its first "\r" comes after many lines.
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    rng = random.Random(f"{newline!r}-{chunk}")
     path = tmp_path / "stream.txt"
-    path.write_bytes(b"a\r\nb\r\n")
-    with path.open(encoding="utf-8", newline="") as f, pytest.raises(ValueError, match="newline=None"):
-        run_stream(RunConfig(mode="exact"), f, io.StringIO(), ExactEstimator(), Interner())
+    head = [f"c{rng.randrange(20)}\n" for _ in range(150)]
+    tail = [f"c{rng.randrange(20)}" + rng.choice(["\n", "\r\n", "\r"]) for _ in range(400)]
+    tail.append("c0\n")  # with newline="\r", a last "\r\n" would leave an empty line
+    path.write_bytes("".join(head + tail).encode("utf-8"))
+    cfg = RunConfig(mode="window", emit_every=rng.choice([1, 3, 16, 1000]))
+    for make_estimator in ESTIMATORS:
+        ref_estimator, ref_interner = make_estimator(), Interner()
+        with path.open(encoding="utf-8", newline=newline) as f:
+            rows, error, summary = reference(cfg, f.readlines(), ref_estimator, ref_interner, 0)
+        assert error is None
+        estimator, interner = make_estimator(), Interner()
+        out = io.StringIO()
+        with path.open(encoding="utf-8", newline=newline) as f:
+            result = run_stream(cfg, f, out, estimator, interner)
+        assert out.getvalue() == "".join(rows)
+        assert (result.events, result.classes) == summary[:2]
+        assert state_of(estimator) == state_of(ref_estimator)
+        assert interner.labels == ref_interner.labels
+
+
+def test_file_read_past_a_header_gives_the_rest(tmp_path):
+    # next() turns a text file's tell() off; run_stream reads the rest.
+    path = tmp_path / "stream.csv"
+    path.write_text("id,label\n" + "".join(f"{k},c{k % 7}\n" for k in range(900)), encoding="utf-8")
+    cfg = RunConfig(mode="exact", emit_every=5, input_format="csv", csv_column=1)
+    with path.open(encoding="utf-8") as f:
+        rows, _, summary = reference(cfg, f.readlines()[1:], ExactEstimator(), Interner(), 0)
+    out = io.StringIO()
+    with path.open(encoding="utf-8") as f:
+        next(f)
+        result = run_stream(cfg, f, out, ExactEstimator(), Interner())
+    assert out.getvalue() == "".join(rows)
+    assert (result.events, result.classes) == summary[:2]
 
 
 def out_of_range_fading():
@@ -312,7 +348,8 @@ class OnlyIntern:
 
 
 @pytest.mark.parametrize("emit_every", [1, 1000])
-def test_duck_typed_estimator_and_interner_read_a_file(tmp_path, emit_every):
+@pytest.mark.parametrize("duck", ["estimator", "interner", "both"])
+def test_duck_typed_estimator_and_interner_read_a_file(tmp_path, duck, emit_every):
     rng = random.Random(emit_every)
     path = tmp_path / "stream.txt"
     path.write_text("".join(f"c{rng.randrange(40)}\n" for _ in range(3000)), encoding="utf-8")
@@ -323,7 +360,9 @@ def test_duck_typed_estimator_and_interner_read_a_file(tmp_path, emit_every):
     estimator, interner = FadingEstimator(0.99), Interner()
     out = io.StringIO()
     with path.open(encoding="utf-8") as f:
-        result = run_stream(cfg, f, out, OnlyObserve(estimator), OnlyIntern(interner))
+        given_estimator = estimator if duck == "interner" else OnlyObserve(estimator)
+        given_interner = interner if duck == "estimator" else OnlyIntern(interner)
+        result = run_stream(cfg, f, out, given_estimator, given_interner)
     assert out.getvalue() == "".join(rows)
     assert (result.events, result.classes) == summary[:2]
     assert state_of(estimator) == state_of(ref_estimator)
