@@ -17,13 +17,13 @@ success, 1 on a usage error, 2 on an input or state-file error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import io
 import os
-import stat
 import sys
-from itertools import chain, islice
-from typing import Iterable, Iterator, List, NamedTuple, Optional, TextIO
+from itertools import chain
+from typing import BinaryIO, Iterable, Iterator, List, NamedTuple, Optional, TextIO, Union
 
 from .bench import BENCH_MODES, DEFAULT_SEED, format_report, run_bench
 from .core import Interner
@@ -50,22 +50,16 @@ _FLAGS = {
     "--alpha": ("alpha", FadingEstimator, "alpha", True),
 }
 
-# run_stream reads a regular file that translates newlines _CHUNK characters
-# at a time and splits the chunks into lines. Other input (a pipe, a tty, any
-# iterable of lines) it reads in blocks that end no later than the next emit
-# point when a row is written every _BLOCK_FROM or more events, and line by
-# line otherwise: there a row is written before any line past it is read.
-# Below 16 events per row the per-block costs outweighed the batched update:
-# in process, over an iterator of lines, the block loop took 1.5-1.7x the
-# per-line loop's time at 1 event per row for the window and fading
-# estimators (1.0-1.2x for exact, whose metrics cost more), 1.0-1.1x at 8
-# and 0.82-1.03x at 16 for all three, and 0.65-1.05x at 64 or more. Either way
-# the estimator observes at most _BLOCK labels per call, and at most that
-# many rows are held at once: on window-zipf, blocks of 2048 lines raised
-# peak RSS by about 0.6 MiB and 256 by about 0.1.
-_CHUNK = 2048
+# run_stream reads a binary input with read1(_CHUNK), which returns only
+# what is ready, so every row due from the lines received is written before
+# the next read waits. 8192 bytes is the chunk that a text file's own
+# iteration reads with read1, so a UTF-8 error is met where reading line by
+# line meets it, after the same rows. The estimator observes at most _BLOCK
+# labels per call, and at most that many rows are held at once: on
+# window-zipf, blocks of 2048 lines raised peak RSS by about 0.6 MiB and 256
+# by about 0.1.
+_CHUNK = 8192
 _BLOCK = 256
-_BLOCK_FROM = 16
 
 # The diagnostics each IMPURITY_STREAM_LOG value shows.
 _LOG_LEVELS = {"quiet": (), "info": ("WARNING", "INFO"), "debug": ("WARNING", "INFO", "DEBUG")}
@@ -108,7 +102,7 @@ _ROWS = {
 
 def run_stream(
     cfg: RunConfig,
-    lines: Iterable[str],
+    source: Union[BinaryIO, Iterable[str]],
     out: TextIO,
     estimator: Estimator,
     interner: Interner,
@@ -128,17 +122,17 @@ def run_stream(
     Rows go straight to ``out``, which does its own buffering. Exact-mode
     metrics are only computed at emit points.
 
-    A text file on a regular file is read in blocks of at most ``_BLOCK``
-    lines; one that translates newlines, as ``open`` does by default, is
-    read ``_CHUNK`` characters at a time and split on ``"\n"``. Other input
-    is read in blocks that end no later than the next emit point when
-    ``emit_every`` is at least ``_BLOCK_FROM``, and line by line otherwise,
-    so a row is written before any line past it is pulled from ``lines``.
-    A block is interned with the interner's ``intern_many`` and observed
-    with the estimator's ``observe_block``, which returns the block's rows.
-    An estimator without ``observe_block`` or an interner without
-    ``intern_many`` is called line by line, on any input. Rows, errors and
-    the estimator's state are those that reading line by line gives.
+    ``source`` is a binary file (anything with ``read1``), decoded as strict
+    UTF-8 with universal newlines, or any iterable of text lines. A binary
+    file is read in reads of at most ``_CHUNK`` bytes, and every row due
+    from the lines a read completes is written before the next read; a bad byte
+    raises UnicodeDecodeError after the rows that reading the file line by
+    line writes. Its lines go in blocks of at most ``_BLOCK`` to the
+    interner's ``intern_many`` and the estimator's ``observe_block``, which
+    returns the block's rows. An iterable of lines, or an estimator without
+    ``observe_block`` or an interner without ``intern_many``, is taken line
+    by line. Rows, errors and the estimator's state are those that reading
+    line by line gives.
     """
     write = out.write
     text = _ROWS[cfg.metric]
@@ -146,12 +140,11 @@ def run_stream(
     csv = cfg.input_format == "csv"
     column = cfg.csv_column
     events = start_index
-    regular = _regular_file(lines)
+    binary = hasattr(source, "read1")
     observe_block = getattr(estimator, "observe_block", None)
     intern_many = getattr(interner, "intern_many", None)
-    if observe_block and intern_many and (regular or emit_every >= _BLOCK_FROM):
-        blocks = _file_blocks(lines) if regular else _emit_blocks(lines, emit_every, start_index)
-        for block in blocks:
+    if binary and observe_block and intern_many:
+        for block in _byte_blocks(source):  # type: ignore[arg-type]
             labels = _block_labels(block, csv, column)
             good = len(labels)
             if good:
@@ -165,6 +158,7 @@ def run_stream(
         observe = estimator.observe
         metrics = estimator.metrics
         intern = interner.intern
+        lines = chain.from_iterable(_byte_blocks(source)) if binary else source  # type: ignore[arg-type]
         for raw in lines:
             if csv:
                 fields = raw.rstrip("\r\n").split(",")
@@ -185,75 +179,33 @@ def run_stream(
     return RunSummary(events=events, classes=len(interner), gini=gini_value, entropy=entropy_value)
 
 
-def _regular_file(lines: Iterable[str]) -> bool:
-    """Whether ``lines`` is an open file on a regular file."""
-    try:
-        return stat.S_ISREG(os.fstat(lines.fileno()).st_mode)  # type: ignore[attr-defined]
-    except (AttributeError, OSError, ValueError):
-        return False
-
-
-def _file_blocks(source: TextIO) -> Iterator[List[str]]:
-    """The lines that iterating over ``source``, a text file on a regular
-    file, gives, with or without their line ends, in blocks of at most
-    _BLOCK. While the file shows that it translates newlines it is read
-    _CHUNK characters at a time and split on ``"\n"``; otherwise its lines
-    are taken as they come (_emit_blocks with an emit point every _BLOCK
-    events gives plain blocks)."""
-    try:
-        start = source.tell()
-    except OSError:  # tell() is off once next() has read from the file
-        yield from _emit_blocks(source, _BLOCK, 0)
-        return
-    read = source.read
-    head: List[str] = []  # the pieces of a line that no chunk has ended yet
-    checked = False
+def _byte_blocks(source: BinaryIO) -> Iterator[List[str]]:
+    """The lines of ``source``, decoded as ``open`` decodes a text file by
+    default (strict UTF-8, universal newlines) and without their ``"\n"``,
+    in blocks of at most _BLOCK. Each read is one ``read1(_CHUNK)``, and the
+    lines it completes are yielded before the next read; nothing is read
+    after the empty read that ends the input."""
+    decode = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True).decode
+    read1 = source.read1
+    head: List[str] = []  # the pieces of a line that no read has ended yet
     while True:
-        chunk = read(_CHUNK)
-        if not chunk:
-            break
-        if not checked and ("\n" in chunk or "\r" in chunk):
-            checked = True
-            if getattr(source, "newlines", None) is None:
-                # Only universal newlines record the newlines read; lines
-                # here end at a fixed string (newline="\r\n", say).
-                source.seek(start)
-                yield from _emit_blocks(source, _BLOCK, 0)
-                return
-        if "\r" in chunk:
-            # newline="": a lone "\r" and "\r\n" end lines too. readline()
-            # ends the pending line, or takes the "\n" of a split "\r\n".
-            rest = io.StringIO("".join(head) + chunk + source.readline(), newline="")
-            yield from _emit_blocks(chain(rest, source), _BLOCK, 0)
-            return
-        lines = chunk.split("\n")
-        if len(lines) == 1:
+        data = read1(_CHUNK)
+        chunk = decode(data, not data)
+        if "\n" in chunk:
+            lines = chunk.split("\n")
+            if head:
+                head.append(lines[0])
+                lines[0] = "".join(head)
+            head = [lines.pop()]
+            for first in range(0, len(lines), _BLOCK):
+                yield lines[first : first + _BLOCK]
+        elif chunk:
             head.append(chunk)
-            continue
-        if head:
-            head.append(lines[0])
-            lines[0] = "".join(head)
-        head = [lines.pop()]
-        for first in range(0, len(lines), _BLOCK):
-            yield lines[first : first + _BLOCK]
+        if not data:
+            break
     last = "".join(head)
     if last:
         yield [last]
-
-
-def _emit_blocks(lines: Iterable[str], emit_every: int, events: int) -> Iterator[List[str]]:
-    """The lines of ``lines`` in blocks of at most _BLOCK that end no later
-    than the next emit point after ``events`` events; a block is read only
-    when the one before it has been taken, and nothing after a short one."""
-    source = iter(lines)
-    while True:
-        wanted = min(_BLOCK, emit_every - events % emit_every)
-        block = list(islice(source, wanted))
-        if block:
-            yield block
-        if len(block) < wanted:
-            return
-        events += wanted
 
 
 def _block_labels(block: List[str], csv: bool, column: int) -> List[str]:
@@ -399,18 +351,22 @@ def _start(cfg: RunConfig, load_state: Optional[str]) -> LoadedSnapshot:
     return loaded
 
 
-def _check_targets(lines: TextIO, output: str, save_state: Optional[str]) -> None:
+def _check_targets(source: BinaryIO, output: str, save_state: Optional[str], load_state: Optional[str]) -> None:
     """Raise UsageError, before anything is opened for writing, if --output
-    or --save-state names the regular file ``lines`` reads, which opening
-    --output would truncate and --save-state would replace, or if both name
-    one path."""
+    or --save-state names the regular file ``source`` reads, which opening
+    --output would truncate and --save-state would replace, if --output
+    names the --load-state file, which it would truncate, or if --output
+    and --save-state name one path."""
     named = [] if output == "-" else [("--output", output)]
     if save_state is not None:
         named.append(("--save-state", save_state))
-    source = os.fstat(lines.fileno())
+    read = os.fstat(source.fileno())
     for flag, path in named:
-        if os.path.isfile(path) and os.path.samestat(source, os.stat(path)):
+        if os.path.isfile(path) and os.path.samestat(read, os.stat(path)):
             raise UsageError(f"{flag} {path} is the run's input")
+    if output != "-" and load_state is not None and os.path.isfile(output):
+        if os.path.samestat(os.stat(load_state), os.stat(output)):
+            raise UsageError(f"--output {output} is the --load-state file")
     if len(named) == 2 and os.path.realpath(save_state) == os.path.realpath(output):
         raise UsageError(f"--output and --save-state both name {output}")
 
@@ -429,8 +385,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     with contextlib.ExitStack() as stack:
         stdin = args.input == "-"
-        lines = stack.enter_context(open(0 if stdin else args.input, encoding="utf-8", closefd=not stdin))
-        _check_targets(lines, args.output, args.save_state)
+        source = stack.enter_context(open(0 if stdin else args.input, "rb", closefd=not stdin))
+        _check_targets(source, args.output, args.save_state, args.load_state)
         if args.save_state is not None:
             # Opened before any input is read, so an unwritable path fails first.
             state_out = stack.enter_context(replacing(args.save_state))
@@ -438,7 +394,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             out = _stdout()
         else:
             out = stack.enter_context(open(args.output, "w", encoding="utf-8", newline="\n"))
-        summary = run_stream(cfg, lines, out, start.estimator, start.interner, start.events_seen)
+        summary = run_stream(cfg, source, out, start.estimator, start.interner, start.events_seen)
         out.flush()
         if args.save_state is not None:
             write_snapshot(state_out, cfg.mode, start.estimator, start.interner, summary.events)

@@ -694,6 +694,31 @@ class TestStatePersistence:
         assert real.read_text(encoding="utf-8").startswith("impurity-stream-snapshot 3 exact\n")
         assert sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".snap") == ["link.snap", "real.snap"]
 
+    def test_output_naming_the_load_state_file_is_a_usage_error(self, cli, tmp_path):
+        # Opening --output would truncate the state the run has just loaded.
+        state = tmp_path / "state.snap"
+        link = tmp_path / "link.snap"
+        link.symlink_to(state.name)
+        assert cli(["run", "--mode", "exact", "--save-state", str(state)], input_lines=["a", "b"])[0] == EXIT_OK
+        saved = state.read_bytes()
+        for output in (state, link):
+            code, rows, err = cli(
+                ["run", "--mode", "exact", "--load-state", str(state), "--output", str(output)],
+                input_lines=["a", "c"],
+            )
+            assert code == EXIT_USAGE
+            assert rows == []
+            assert err == f"impurity-stream: error: --output {output} is the --load-state file\n"
+            assert state.read_bytes() == saved
+        # Resuming in place stays legal.
+        code, rows, _ = cli(
+            ["run", "--mode", "exact", "--load-state", str(state), "--save-state", str(state)],
+            input_lines=["a", "c"],
+        )
+        assert code == EXIT_OK
+        assert [row.split("\t")[0] for row in rows] == ["2", "3"]
+        assert state.read_text(encoding="utf-8").startswith("impurity-stream-snapshot 3 exact\nevents 4\n")
+
     def test_failed_run_leaves_no_temp_state(self, cli, tmp_path):
         state = tmp_path / "state.snap"
         state.write_text("previous\n", encoding="utf-8")

@@ -1,15 +1,18 @@
 """Seeded random streams through run_stream against a line-by-line reference.
 
-run_stream reads a regular file in chunks, and other input in blocks of
-lines when it writes a row per 16 or more events. Whatever the cadence,
-resume point, input object, chunk size or bad line, its rows, errors,
-estimator state and summary must be those of the plain per-line loop below.
-From other input it must not pull a line before writing every row due from
-the lines before it, nor pull again once the input has ended.
+run_stream reads a binary input (anything with ``read1``) through one byte
+reader, in reads of ``_CHUNK`` bytes, and takes any iterable of text lines
+line by line. Whatever the cadence, resume point, input object, read size
+or bad line or byte, its rows, errors, estimator state and summary must be
+those of the plain per-line loop below over the lines that a text file
+gives. From an iterable it must not pull a line, and from a binary input
+it must not read, before writing every row due from the lines before; and
+it must not pull or read again once the input has ended.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import io
 import random
@@ -167,7 +170,7 @@ def test_run_stream_matches_line_by_line(tmp_path, emit_every, input_format, sou
     out = io.StringIO()
     with contextlib.ExitStack() as stack:
         if source == "file":
-            given = stack.enter_context(path.open(encoding="utf-8"))
+            given = stack.enter_context(path.open("rb"))
         else:
             given = {
                 "list": lines,
@@ -197,12 +200,21 @@ EDGE_CASES = {
     "csv": (["\n", "\r\n"], "{},c{},x", "csv"),
     "bad-at-edge": (["\n"], "c{}", "lines"),
     "resumed": (["\n", "\r\n"], "c{}", "lines"),
+    "split-character": (["\n"], "c{}\U0001f600", "lines"),
+    "split-crlf": (["\r\n"], "c{}", "lines"),
 }
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+def opened(path, source):
+    """``path`` as the binary file ``source`` names: the file itself, or its bytes in memory."""
+    return path.open("rb") if source == "file" else io.BytesIO(path.read_bytes())
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64, 8192])
 @pytest.mark.parametrize("case", list(EDGE_CASES))
 def test_chunked_file_matches_line_by_line(tmp_path, monkeypatch, case, chunk):
+    # run_stream reads a binary file chunk bytes at a time; its rows must be
+    # those of the per-line loop over the lines of the same file opened as text.
     monkeypatch.setattr(cli, "_CHUNK", chunk)
     endings, label_format, input_format = EDGE_CASES[case]
     rng = random.Random(f"{case}-{chunk}")
@@ -212,9 +224,15 @@ def test_chunked_file_matches_line_by_line(tmp_path, monkeypatch, case, chunk):
     labels = [f"c{c}" for c in classes]
     lines = [label_format.format(c, c) + rng.choice(endings) for c in classes[start_index:]]
     if case == "crlf":
-        # The \r of line 1361 is byte 8191: it ends the first 8 KiB that the
-        # text layer decodes, and its \n starts the next.
+        # The \r of line 1361 is byte 8191: it ends the first 8 KiB read,
+        # and its \n starts the next.
         lines = ["w" * 25 + "\r\n"] + [f"c{c:03d}\r\n" for c in classes[:1400]]
+    if case in ("split-character", "split-crlf"):
+        # A first line that puts the first byte of line 2's 4-byte character,
+        # or its \r, last in a read, and the rest of it in the next read.
+        before = len(lines[0].encode("utf-8")) - (5 if case == "split-character" else 2)
+        lines.insert(0, "w" * ((-2 - before) % chunk or chunk) + "\n")
+        assert (len(lines[0]) + before) % chunk == chunk - 1
     if case == "no-final-newline":
         lines[-1] = lines[-1].rstrip("\r\n")
     if case == "bad-at-edge":
@@ -242,27 +260,145 @@ def test_chunked_file_matches_line_by_line(tmp_path, monkeypatch, case, chunk):
         rows, error, summary = reference(cfg, f.readlines(), ref_estimator, ref_interner, start_index)
     assert (error is not None) == (case == "bad-at-edge")
 
+    for source in ("file", "memory"):
+        estimator, interner = resumed()
+        out = io.StringIO()
+        with opened(path, source) as f:
+            if error is None:
+                result = run_stream(cfg, f, out, estimator, interner, start_index)
+                assert (result.events, result.classes) == summary[:2]
+                assert [bits(result.gini), bits(result.entropy)] == [bits(v) for v in summary[2]]
+            else:
+                with pytest.raises(InputError) as caught:
+                    run_stream(cfg, f, out, estimator, interner, start_index)
+                assert str(caught.value) == error
+        assert out.getvalue() == "".join(rows)
+        assert state_of(estimator) == state_of(ref_estimator)
+        assert interner.labels == ref_interner.labels
+
+
+class GuardedBytes:
+    """A binary input like a pipe that checks its reader: ``read1`` hands
+    out ``pieces`` in turn and then ``b""``. Before each piece, ``out`` must
+    hold ``due[p]`` characters, every row at an emit point due from the
+    lines that the pieces before it complete; and nothing may be read after
+    the ``b""``."""
+
+    def __init__(self, pieces, out, due):
+        self.pieces, self.out, self.due = pieces, out, due
+        self.read = 0
+
+    def read1(self, size=-1):
+        p = self.read
+        assert p <= len(self.pieces), "read again after the end of input"
+        self.read += 1
+        if p == len(self.pieces):
+            return b""
+        assert self.out.tell() == self.due[p], f"piece {p} read before the rows due were written"
+        return self.pieces[p]
+
+
+@pytest.mark.parametrize("emit_every", [1, 3, 16, 255, 1000])
+@pytest.mark.parametrize("bad", [None, "empty", "utf8"])
+def test_byte_reader_writes_rows_before_each_read(emit_every, bad):
+    rng = random.Random(f"{emit_every}-{bad}")
+    make_estimator = ESTIMATORS[rng.randrange(len(ESTIMATORS))]
+    start_index = rng.randrange(0, 2 * emit_every)
+    lines = [f" c{rng.randrange(40)}\u00e9 " + rng.choice(["\n", "\r\n", "\r"]) for _ in range(3 * emit_every + 400)]
+    data = "".join(lines).encode("utf-8")
+    bad_at = None
+    if bad is not None:
+        bad_at = rng.randrange(len(data) // 2, len(data))
+        bad_at = data.index(b"\n", bad_at) + 1 if b"\n" in data[bad_at:] else len(data)
+        data = data[:bad_at] + {"empty": b"  \n", "utf8": b"\xff\n"}[bad] + data[bad_at:]
+    # Pieces of 1 to 40 bytes, so that a read may end inside a character or
+    # between the \r and \n of a line end.
+    pieces, at = [], 0
+    while at < len(data):
+        if bad == "utf8" and at <= bad_at:
+            bad_piece = len(pieces)
+        size = rng.randrange(1, 41)
+        pieces.append(data[at : at + size])
+        at += size
+    cfg = RunConfig(mode="window", emit_every=emit_every)
+
+    def resumed():
+        estimator, interner = make_estimator(), Interner()
+        for _ in range(start_index):
+            estimator.observe(interner.intern("c0\u00e9"))
+        return estimator, interner
+
+    ref_estimator, ref_interner = resumed()
+    text = data.decode("utf-8", "replace")
+    ref_lines = io.StringIO(text, newline=None).readlines()
+    if bad == "utf8":
+        ref_lines = ref_lines[: ref_lines.index("\ufffd\n")]
+    rows, error, summary = reference(cfg, ref_lines, ref_estimator, ref_interner, start_index)
+    emitted = [row for row in rows if (int(row.split("\t")[0]) + 1) % emit_every == 0]
+
+    # due[p]: characters of the rows at emit points due from the lines that
+    # the pieces before piece p complete, as a text file decodes them.
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")("replace"), translate=True)
+    due, completed, written, at_row = [], 0, 0, 0
+    for piece in pieces:
+        while at_row < len(emitted) and int(emitted[at_row].split("\t")[0]) < start_index + completed:
+            written += len(emitted[at_row])
+            at_row += 1
+        due.append(written)
+        completed += decoder.decode(piece).count("\n")
+
     estimator, interner = resumed()
     out = io.StringIO()
-    with path.open(encoding="utf-8") as f:
-        if error is None:
-            result = run_stream(cfg, f, out, estimator, interner, start_index)
-            assert (result.events, result.classes) == summary[:2]
-            assert [bits(result.gini), bits(result.entropy)] == [bits(v) for v in summary[2]]
-        else:
-            with pytest.raises(InputError) as caught:
-                run_stream(cfg, f, out, estimator, interner, start_index)
-            assert str(caught.value) == error
+    source = GuardedBytes(pieces, out, due)
+    if bad == "utf8":
+        # The piece that holds the bad byte decodes to nothing: no line
+        # that it would complete is read.
+        with pytest.raises(UnicodeDecodeError):
+            run_stream(cfg, source, out, estimator, interner, start_index)
+        assert source.read == bad_piece + 1
+        rows = "".join(emitted)[: due[bad_piece]]
+    elif bad == "empty":
+        with pytest.raises(InputError) as caught:
+            run_stream(cfg, source, out, estimator, interner, start_index)
+        assert str(caught.value) == error
+    else:
+        result = run_stream(cfg, source, out, estimator, interner, start_index)
+        assert (result.events, result.classes) == summary[:2]
+        assert source.read == len(pieces) + 1
     assert out.getvalue() == "".join(rows)
-    assert state_of(estimator) == state_of(ref_estimator)
-    assert interner.labels == ref_interner.labels
+
+
+@pytest.mark.parametrize("tail", [b"\xff\n", b"\xc3"], ids=["bad-byte", "cut-character"])
+def test_utf8_error_rows_match_reading_line_by_line(tmp_path, capsys, tail):
+    # A bad byte past the first 8 KiB, or a character cut off by the end of
+    # the input, after multi-byte labels: the rows and the error are those
+    # of the same file read line by line as text.
+    path = tmp_path / "stream.txt"
+    path.write_bytes("".join(f"\u00e9{k % 1000}\n" for k in range(20000)).encode("utf-8") + tail)
+    caught = []
+
+    def until_error(lines):
+        try:
+            yield from lines
+        except UnicodeDecodeError as exc:
+            caught.append(exc)
+
+    cfg = RunConfig(mode="fading", emit_every=1)
+    with path.open(encoding="utf-8") as f:
+        rows, _, _ = reference(cfg, until_error(f), FadingEstimator(0.99), Interner(), 0)
+    assert len(caught) == 1 and 1000 < len(rows) <= 20000
+    assert cli.main(["run", "--mode", "fading", "--alpha", "0.99", "--input", str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "".join(rows)
+    assert captured.err == f"impurity-stream: error: input is not valid UTF-8: {caught[0]}\n"
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64, 2048])
 @pytest.mark.parametrize("newline", ["", "\n", "\r", "\r\n"])
 def test_untranslated_newlines_give_the_files_own_lines(tmp_path, monkeypatch, newline, chunk):
-    # A file opened without newline translation is split where iterating
-    # over it splits it, also when its first "\r" comes after many lines.
+    # A text file opened without newline translation is split where
+    # iterating over it splits it, also when its first "\r" comes after
+    # many lines, whatever _CHUNK is.
     monkeypatch.setattr(cli, "_CHUNK", chunk)
     rng = random.Random(f"{newline!r}-{chunk}")
     path = tmp_path / "stream.txt"
@@ -287,7 +423,7 @@ def test_untranslated_newlines_give_the_files_own_lines(tmp_path, monkeypatch, n
 
 
 def test_file_read_past_a_header_gives_the_rest(tmp_path):
-    # next() turns a text file's tell() off; run_stream reads the rest.
+    # A text file that next() has read from gives run_stream the rest.
     path = tmp_path / "stream.csv"
     path.write_text("id,label\n" + "".join(f"{k},c{k % 7}\n" for k in range(900)), encoding="utf-8")
     cfg = RunConfig(mode="exact", emit_every=5, input_format="csv", csv_column=1)
@@ -359,7 +495,7 @@ def test_duck_typed_estimator_and_interner_read_a_file(tmp_path, duck, emit_ever
         rows, _, summary = reference(cfg, f.readlines(), ref_estimator, ref_interner, 0)
     estimator, interner = FadingEstimator(0.99), Interner()
     out = io.StringIO()
-    with path.open(encoding="utf-8") as f:
+    with path.open("rb") as f:
         given_estimator = estimator if duck == "interner" else OnlyObserve(estimator)
         given_interner = interner if duck == "estimator" else OnlyIntern(interner)
         result = run_stream(cfg, f, out, given_estimator, given_interner)
