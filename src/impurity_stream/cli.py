@@ -91,13 +91,22 @@ class RunSummary(NamedTuple):
     entropy: float
 
 
-# The text of a list of (index, gini, entropy) rows, per --metric; an
-# unselected metric is never formatted.
+# The text of flat rows [index, gini, entropy, index, …], per --metric, made
+# by one % on the row format repeated once per row. An unselected metric is
+# never formatted: its fields are deleted from the list first.
 _ROWS = {
-    "gini": lambda rows: "".join(["%d\t%.9f\n" % (index, gini) for index, gini, _ in rows]),
-    "entropy": lambda rows: "".join(["%d\t%.9f\n" % (index, entropy) for index, _, entropy in rows]),
-    "both": lambda rows: "".join(["%d\t%.9f\t%.9f\n" % row for row in rows]),
+    "gini": lambda rows: _without(rows, 2) % tuple(rows),
+    "entropy": lambda rows: _without(rows, 1) % tuple(rows),
+    "both": lambda rows: "%d\t%.9f\t%.9f\n" * (len(rows) // 3) % tuple(rows),
 }
+
+
+def _without(rows: List[float], field: int) -> str:
+    """Delete the ``field``-th of every three values of the flat ``rows``
+    and return the format of the (index, metric) rows left; a ``%``'s left
+    operand is evaluated first, so ``tuple(rows)`` on its right sees them."""
+    del rows[field::3]
+    return "%d\t%.9f\n" * (len(rows) // 2)
 
 
 def run_stream(
@@ -172,9 +181,9 @@ def run_stream(
             observe(intern(label))
             events += 1
             if events % emit_every == 0:
-                write(text([(events - 1, *metrics())]))
+                write(text([events - 1, *metrics()]))
     if events > start_index and events % emit_every:
-        write(text([(events - 1, *estimator.metrics())]))
+        write(text([events - 1, *estimator.metrics()]))
     gini_value, entropy_value = estimator.metrics()
     return RunSummary(events=events, classes=len(interner), gini=gini_value, entropy=entropy_value)
 
@@ -209,10 +218,12 @@ def _byte_blocks(source: BinaryIO) -> Iterator[List[str]]:
 
 
 def _block_labels(block: List[str], csv: bool, column: int) -> List[str]:
-    """The labels of ``block``'s lines, up to its first line without one."""
+    """The labels of ``block``'s lines, which hold no "\r" or "\n" (the
+    decoder of _byte_blocks translates both), up to its first line without
+    one."""
     if csv:
         # A short row has no label, like an empty one.
-        rows = [raw.rstrip("\r\n").split(",") for raw in block]
+        rows = [raw.split(",") for raw in block]
         labels = [fields[column].strip() if column < len(fields) else "" for fields in rows]
     else:
         labels = list(map(str.strip, block))

@@ -210,19 +210,19 @@ class ExactEstimator:
     def metrics(self) -> Tuple[float, float]:
         return (gini_exact(self.counts), entropy_exact(self.counts))
 
-    def observe_block(self, labels: Sequence[Label], seen: int, every: int) -> List[Tuple[int, float, float]]:
+    def observe_block(self, labels: Sequence[Label], seen: int, every: int) -> List[float]:
         """Observe ``labels`` as the events after the first ``seen`` of a
-        stream; returns an ``(index, gini, entropy)`` row for each event
-        whose count is a multiple of ``every``, its index one less. The
-        metrics are computed only for those rows."""
+        stream; returns the flat rows ``[index, gini, entropy, index, …]`` of
+        each event whose count is a multiple of ``every``, its index one
+        less. The metrics are computed only for those rows."""
         counts = self.counts
         get = counts.get
-        rows = []
+        rows: List[float] = []
         for label in labels:
             counts[label] = get(label, 0) + 1
             seen += 1
             if seen % every == 0:
-                rows.append((seen - 1, gini_exact(counts), entropy_exact(counts)))
+                rows += (seen - 1, gini_exact(counts), entropy_exact(counts))
         return rows
 
     def state(self) -> Dict[str, object]:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-import math
+from math import log2
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .core import Label, counts_by_id, counts_from_ids, state_fields
 
 __all__ = ["FadingEstimator"]
+
+# The largest count that a float holds exactly, like every count below it.
+_EXACT = 2**53
 
 
 class FadingEstimator:
@@ -15,9 +18,21 @@ class FadingEstimator:
 
     Each observe() folds the previous metric value back in through a factor
     ``alpha`` in (0, 1], geometrically discounting older contributions by
-    age, while the per-class counts themselves stay unweighted integers.
-    With alpha = 1 nothing fades and the trace coincides with the exact
-    metrics of the whole stream so far.
+    age, while the per-class counts themselves stay unweighted. With
+    alpha = 1 nothing fades and the trace coincides with the exact metrics
+    of the whole stream so far.
+
+    The estimator carries ``d`` = n²·G and ``u`` = n·H. With c the arriving
+    class's count before an event and L(x) = x·log2(x), the paper's two
+    recurrences multiplied by (n+1)² and by n+1 are
+
+        d ← alpha·d + 2·(n − c)
+        u ← alpha·u + (L(n+1) − L(n)) − (L(c+1) − L(c))
+
+    L(n) is carried from one event to the next (``plog_n``) and each class's
+    L(c) sits beside its count (``plogs``), so an event makes two log2
+    calls. n, the counts and the L values are floats, so no step mixes an
+    int with a float; a count is exact up to 2**53.
 
     Memory is O(distinct classes), independent of stream length.
     Single-writer; not safe for concurrent mutation.
@@ -27,104 +42,112 @@ class FadingEstimator:
         if not 0.0 < alpha <= 1.0:
             raise ValueError("fading factor must be in (0, 1]")
         self.alpha = alpha
-        self.n = 0
-        self.counts: Dict[Label, int] = {}
-        self.g = 0.0
-        self.h = 0.0
+        self.n = 0.0
+        self.counts: Dict[Label, float] = {}
+        self.plogs: Dict[Label, float] = {}
+        self.plog_n = 0.0
+        self.d = 0.0
+        self.u = 0.0
 
     def observe(self, label: Label) -> None:
-        """Fold one labeled event into both faded metrics.
-
-        The metric updates read the pre-event n and class count; the counts
-        advance afterwards. ``plog2p`` is inlined with its operations in the
-        same order, so every value is bit-identical to the recurrence.
-        """
-        log2 = math.log2
-        counts = self.counts
-        alpha = self.alpha
+        """Fold one labeled event into both faded metrics, with the
+        operations of observe_block's loop in their order."""
         n = self.n
-        n_i = counts.get(label, 0)
-        new_n = n + 1
-        numer = n * n * (1.0 - alpha * self.g) + 2.0 * n_i + 1.0
-        self.g = 1.0 - numer / (new_n * new_n)
-        if n:
-            q = n / new_n
-            old_part = q * (alpha * self.h - log2(q))
-        else:
-            old_part = 0.0
-        p = (n_i + 1) / new_n
-        q = n_i / new_n
-        # The last term is +0.0 for a new class, which turns a -0.0 into 0.0.
-        self.h = old_part - p * log2(p) + (q * log2(q) if n_i else 0.0)
-        self.n = new_n
-        counts[label] = n_i + 1
+        c = self.counts.get(label, 0.0)
+        c_next = c + 1.0
+        n_next = n + 1.0
+        plog_c_next = c_next * log2(c_next)
+        plog_n_next = n_next * log2(n_next)
+        self.d = self.alpha * self.d + 2.0 * (n - c)
+        self.u = self.alpha * self.u + (plog_n_next - self.plog_n) - (plog_c_next - self.plogs.get(label, 0.0))
+        self.counts[label] = c_next
+        self.plogs[label] = plog_c_next
+        self.n = n_next
+        self.plog_n = plog_n_next
 
-    def observe_block(self, labels: Sequence[Label], seen: int, every: int) -> List[Tuple[int, float, float]]:
+    def observe_block(self, labels: Sequence[Label], seen: int, every: int) -> List[float]:
         """Observe ``labels`` as the events after the first ``seen`` of a
-        stream; returns an ``(index, gini, entropy)`` row for each event
-        whose count is a multiple of ``every``, its index one less.
-
-        The loop is observe() and metrics() inlined, with every operation in
-        their order, so the state and the rows are bit-identical to theirs.
+        stream; returns the flat rows ``[index, gini, entropy, index, …]`` of
+        each event whose count is a multiple of ``every``, its index one
+        less. Each row holds what metrics() returns after its event.
         """
-        log2 = math.log2
         counts = self.counts
-        get = counts.get
+        plogs = self.plogs
+        count_of = counts.get
+        plog_of = plogs.get
         alpha = self.alpha
         n = self.n
-        g = self.g
-        h = self.h
-        rows = []
-        for label in labels:
-            n_i = get(label, 0)
-            new_n = n + 1
-            numer = n * n * (1.0 - alpha * g) + 2.0 * n_i + 1.0
-            g = 1.0 - numer / (new_n * new_n)
-            if n:
-                q = n / new_n
-                old_part = q * (alpha * h - log2(q))
-            else:
-                old_part = 0.0
-            p = (n_i + 1) / new_n
-            q = n_i / new_n
-            h = old_part - p * log2(p) + (q * log2(q) if n_i else 0.0)
-            n = new_n
-            counts[label] = n_i + 1
-            seen += 1
-            if seen % every == 0:
-                gini = g if 0.0 < g < 1.0 else (1.0 if g >= 1.0 else 0.0)
-                rows.append((seen - 1, gini, h if h > 0.0 else 0.0))
+        plog_n = self.plog_n
+        d = self.d
+        u = self.u
+        due = every - seen % every  # events up to and including the next row's
+        rows: List[float] = []
+        for index, label in enumerate(labels, seen):
+            c = count_of(label, 0.0)
+            c_next = c + 1.0
+            n_next = n + 1.0
+            plog_c_next = c_next * log2(c_next)
+            plog_n_next = n_next * log2(n_next)
+            d = alpha * d + 2.0 * (n - c)
+            u = alpha * u + (plog_n_next - plog_n) - (plog_c_next - plog_of(label, 0.0))
+            counts[label] = c_next
+            plogs[label] = plog_c_next
+            n = n_next
+            plog_n = plog_n_next
+            due -= 1
+            if not due:
+                due = every
+                gini = d / (n * n)
+                entropy = u / n
+                rows.append(index)
+                rows.append(gini if 0.0 < gini < 1.0 else (1.0 if gini >= 1.0 else 0.0))
+                rows.append(entropy if entropy > 0.0 else 0.0)
         self.n = n
-        self.g = g
-        self.h = h
+        self.plog_n = plog_n
+        self.d = d
+        self.u = u
         return rows
 
     def metrics(self) -> Tuple[float, float]:
-        """Current (gini, entropy) clamped for reporting; O(1).
+        """Current (gini, entropy) = (d/n², u/n), clamped for reporting; O(1).
 
         Gini clamps into [0, 1]; entropy clamps tiny negatives to 0 but has
         no a-priori upper bound once alpha < 1. NaN and -0.0 fail ``> 0.0``
         and so report 0.0.
         """
-        g = self.g
-        h = self.h
-        return (g if 0.0 < g < 1.0 else (1.0 if g >= 1.0 else 0.0), h if h > 0.0 else 0.0)
+        n = self.n
+        if not n:
+            return (0.0, 0.0)
+        gini = self.d / (n * n)
+        entropy = self.u / n
+        return (gini if 0.0 < gini < 1.0 else (1.0 if gini >= 1.0 else 0.0), entropy if entropy > 0.0 else 0.0)
 
     def state(self) -> Dict[str, object]:
         """The fields that restore this estimator; see ``snapshot``.
 
-        ``n`` is not among them: it is the sum of the counts.
+        ``n`` and the L values are not among them: they follow from the counts.
         """
-        return {"alpha": float(self.alpha), "g": self.g, "h": self.h, "counts": counts_by_id(self.counts)}
+        return {"alpha": float(self.alpha), "d": self.d, "u": self.u, "counts": list(map(int, counts_by_id(self.counts)))}
 
     @classmethod
     def from_state(cls, state: Mapping[str, object], events: int, n_labels: int) -> "FadingEstimator":
         """Rebuild an estimator from state() after ``events`` events over
-        ``n_labels`` labels; ValueError if no run reaches that state."""
-        alpha, g, h, by_id = state_fields(state, alpha=float, g=float, h=float, counts=list)
+        ``n_labels`` labels; ValueError if no run reaches that state.
+
+        n·log2(n) and each c·log2(c) are computed as observe_block computes
+        them, so a resumed run continues bit for bit.
+        """
+        alpha, d, u, by_id = state_fields(state, alpha=float, d=float, u=float, counts=list)
+        if d < 0.0:
+            raise ValueError("d must be >= 0")
+        if events > _EXACT:
+            raise ValueError(f"{events} events is more than the {_EXACT} a float counts exactly")
         estimator = cls(alpha)
-        estimator.counts = counts_from_ids(by_id, events, n_labels)
-        estimator.n = events
-        estimator.g = g
-        estimator.h = h
+        estimator.counts = {label: float(c) for label, c in counts_from_ids(by_id, events, n_labels).items()}
+        estimator.plogs = {label: c * log2(c) for label, c in estimator.counts.items()}
+        n = float(events)
+        estimator.n = n
+        estimator.plog_n = n * log2(n) if events else 0.0
+        estimator.d = d
+        estimator.u = u
         return estimator

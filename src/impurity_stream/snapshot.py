@@ -1,9 +1,9 @@
 """Versioned text snapshots of a run's state.
 
 A snapshot holds what a run needs to resume with a trace byte-identical to
-an uninterrupted one. Version 3 stores nothing that can be derived:
+an uninterrupted one. Version 4 stores nothing that can be derived:
 
-    impurity-stream-snapshot 3 MODE
+    impurity-stream-snapshot 4 MODE
     events N          events the run has consumed
     labels [...]      the label table, a JSON array in id order
     FIELD VALUE       one line per field of the estimator's state()
@@ -13,12 +13,13 @@ bit-exactly) and a list of ints as a JSON array. The fields per mode:
 
     window  capacity, refresh_period, events_since_refresh and window
             (the ids in the window, oldest first)
-    fading  alpha, g, h, counts (one per label, in id order)
+    fading  alpha, d (n²·G), u (n·H), counts (one per label, in id order)
     exact   counts (one per label, in id order)
 
-The window's counts and its exact power sums follow from its ids, the
-fading n from its counts. Each estimator's from_state() rejects a state
-that no run reaches; that, and any malformed line, ends in SnapshotError.
+The window's counts and its exact power sums follow from its ids; the
+fading n, n·log2(n) and each c·log2(c) follow from its counts. Each
+estimator's from_state() rejects a state that no run reaches; that, and any
+malformed line, ends in SnapshotError.
 
 save_snapshot and --save-state write via replacing(): temp file, then rename.
 """
@@ -37,7 +38,7 @@ from .window import SlidingWindowEstimator
 __all__ = ["ESTIMATORS", "SnapshotError", "LoadedSnapshot", "replacing", "save_snapshot", "write_snapshot", "load_snapshot"]
 
 _MAGIC = "impurity-stream-snapshot"
-_VERSION = 3
+_VERSION = 4
 # The estimator of each run mode, by the mode's name.
 ESTIMATORS = {
     "window": SlidingWindowEstimator,

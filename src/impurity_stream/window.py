@@ -160,16 +160,17 @@ class SlidingWindowEstimator:
             since %= period
         self.events_since_refresh = since
 
-    def observe_block(self, labels: Sequence[Label], seen: int, every: int) -> List[Tuple[int, float, float]]:
+    def observe_block(self, labels: Sequence[Label], seen: int, every: int) -> List[float]:
         """Observe ``labels`` as the events after the first ``seen`` of a
-        stream; returns an ``(index, gini, entropy)`` row for each event
-        whose count is a multiple of ``every``, its index one less.
+        stream; returns the flat rows ``[index, gini, entropy, index, …]`` of
+        each event whose count is a multiple of ``every``, its index one
+        less.
 
         Each run of labels up to such an event goes to observe_many(), or
         to observe() when it is one label long: observe_many() costs more
         to set up than one observe().
         """
-        rows = []
+        rows: List[float] = []
         start = 0
         end = every - seen % every
         while end <= len(labels):
@@ -177,7 +178,7 @@ class SlidingWindowEstimator:
                 self.observe(labels[start])
             else:
                 self.observe_many(labels[start:end])
-            rows.append((seen + end - 1, *self.metrics()))
+            rows += (seen + end - 1, *self.metrics())
             start = end
             end += every
         if start < len(labels):

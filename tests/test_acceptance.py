@@ -221,7 +221,8 @@ def test_criterion_5_fading_factor_behavior():
         g = g.inc(float(before))
         h = h.inc(float(before))
         shadow[label] = before + 1
-        worst = max(worst, abs(est.g - g.value), abs(est.h - h.value))
+        n = est.n
+        worst = max(worst, abs(est.d / (n * n) - g.value), abs(est.u / n - h.value))
     reduction_ok = worst <= 1e-9
 
     # alpha < 1 stays in range on random streams
@@ -233,17 +234,18 @@ def test_criterion_5_fading_factor_behavior():
         for _ in range(events):
             fader.observe(rng.randrange(classes))
             gini_value, entropy_value = fader.metrics()
-            in_range &= -1e-9 <= fader.g <= 1.0 + 1e-9
+            in_range &= -1e-9 <= fader.d / (fader.n * fader.n) <= 1.0 + 1e-9
             in_range &= 0.0 <= gini_value <= 1.0
             in_range &= 0.0 <= entropy_value <= cap
 
-    # single-class streams pin both metrics at exactly zero
+    # single-class streams pin d = n²G, u = nH and both metrics at exactly +0.0
     fixpoint = True
     for alpha in (0.5, 0.9, 0.99, 1.0):
         fader = FadingEstimator(alpha)
         for _ in range(events):
             fader.observe("only")
-            fixpoint &= bits(fader.g) == bits(0.0) and bits(fader.h) == bits(0.0)
+            raw = (fader.d, fader.u, *fader.metrics())
+            fixpoint &= [bits(value) for value in raw] == [bits(0.0)] * 4
 
     elapsed = time.perf_counter() - start
     _criterion(

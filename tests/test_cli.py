@@ -455,6 +455,12 @@ def _window_id_beyond_labels(lines):
     lines[lines.index("window [0,1,0]")] = "window [0,7,0]"
 
 
+def _fading_beyond_exact_counts(lines):
+    # 2**53 + 1 events, which the counts sum to, but a float does not hold.
+    lines[lines.index("events 3")] = "events 9007199254740993"
+    lines[lines.index("counts [2,1]")] = "counts [9007199254740992,1]"
+
+
 def _window_beyond_capacity(lines):
     # Four events in a window of 3, with the event count to match.
     lines[lines.index("events 3")] = "events 4"
@@ -512,8 +518,12 @@ _TAMPERED_SNAPSHOTS = [
         _replace_line("events_since_refresh 1", "events_since_refresh 2"),
         id="since-refresh-at-period",
     ),
-    # Non-finite floats: a NaN g would read as Gini 0 from then on.
-    pytest.param(["fading", "--alpha", "0.9"], _replace_field("g", "nan"), id="fading-g-nan"),
+    # Non-finite floats: a NaN d would read as Gini 0 from then on.
+    pytest.param(["fading", "--alpha", "0.9"], _replace_field("d", "nan"), id="fading-d-nan"),
+    pytest.param(["fading", "--alpha", "0.9"], _replace_field("u", "inf"), id="fading-u-inf"),
+    # d = n²·G only ever gains alpha·d and 2·(n - c), which are >= 0.
+    pytest.param(["fading", "--alpha", "0.9"], _replace_field("d", "-0x1.0p-10"), id="fading-d-negative"),
+    pytest.param(["fading", "--alpha", "0.9"], _fading_beyond_exact_counts, id="fading-beyond-2**53"),
     # A window state has no float field; an h left over from version 2 is refused.
     pytest.param(["window", "--window-size", "3"], _append_line("h inf"), id="window-h-inf"),
     # The event count must agree with the estimator's own count.
@@ -582,7 +592,7 @@ class TestStatePersistence:
 
     def test_load_non_utf8_state(self, cli, tmp_path):
         state = tmp_path / "state.snap"
-        state.write_bytes(b'impurity-stream-snapshot 3 exact\nevents 1\nlabels ["\xff"]\ncounts [1]\n')
+        state.write_bytes(b'impurity-stream-snapshot 4 exact\nevents 1\nlabels ["\xff"]\ncounts [1]\n')
         code, rows, err = cli(["run", "--mode", "exact", "--load-state", str(state)], input_lines=["a"])
         assert code == EXIT_INPUT
         assert rows == []
@@ -659,6 +669,20 @@ class TestStatePersistence:
         assert rows == []
         assert err == "impurity-stream: error: unsupported snapshot version '2'\n"
 
+    def test_version_3_state_rejected(self, cli, tmp_path):
+        # What version 3 saved after "a b a" at alpha 0.9: the fading
+        # estimator then carried G and H, not n²·G and n·H.
+        state = tmp_path / "state.snap"
+        state.write_text(
+            "impurity-stream-snapshot 3 fading\nevents 3\nlabels [\"a\",\"b\"]\nalpha 0x1.ccccccccccccdp-1\n"
+            "g 0x1.b05b05b05b05ap-2\nh 0x1.b408bcfc8035bp-1\ncounts [2,1]\n",
+            encoding="utf-8",
+        )
+        code, rows, err = cli(["run", "--mode", "fading", "--load-state", str(state)], input_lines=["a"])
+        assert code == EXIT_INPUT
+        assert rows == []
+        assert err == "impurity-stream: error: unsupported snapshot version '3'\n"
+
     def test_unwritable_save_path_fails_before_any_row(self, cli, tmp_path):
         target = tmp_path / "missing-dir" / "state.snap"
         code, rows, err = cli(
@@ -691,7 +715,7 @@ class TestStatePersistence:
         code, _, _ = cli(["run", "--mode", "exact", "--save-state", str(link)], input_lines=["a", "b"])
         assert code == EXIT_OK
         assert link.is_symlink() and os.readlink(link) == real.name
-        assert real.read_text(encoding="utf-8").startswith("impurity-stream-snapshot 3 exact\n")
+        assert real.read_text(encoding="utf-8").startswith("impurity-stream-snapshot 4 exact\n")
         assert sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".snap") == ["link.snap", "real.snap"]
 
     def test_output_naming_the_load_state_file_is_a_usage_error(self, cli, tmp_path):
@@ -717,7 +741,7 @@ class TestStatePersistence:
         )
         assert code == EXIT_OK
         assert [row.split("\t")[0] for row in rows] == ["2", "3"]
-        assert state.read_text(encoding="utf-8").startswith("impurity-stream-snapshot 3 exact\nevents 4\n")
+        assert state.read_text(encoding="utf-8").startswith("impurity-stream-snapshot 4 exact\nevents 4\n")
 
     def test_failed_run_leaves_no_temp_state(self, cli, tmp_path):
         state = tmp_path / "state.snap"

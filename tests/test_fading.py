@@ -8,7 +8,7 @@ import random
 import pytest
 
 from conftest import bits
-from impurity_stream import EntropyState, FadingEstimator, GiniState, plog2p
+from impurity_stream import EntropyState, FadingEstimator, GiniState
 
 
 def feed(estimator, labels):
@@ -57,29 +57,71 @@ class TestObserve:
         assert entropy_value == pytest.approx(0.9182958340544896, abs=1e-12)
 
 
+LN2 = math.log(2.0)
+
+
+def plog(x):
+    """L(x) = x·log2(x), with L(0) = 0."""
+    return x * math.log2(x) if x else 0.0
+
+
+def step(x):
+    """L(x+1) - L(x), without cancellation."""
+    return math.log2(x + 1) + x * math.log1p(1.0 / x) / LN2 if x else 0.0
+
+
+def skewed_stream(seed, k):
+    rng = random.Random(seed)
+    return rng.choices(range(40), weights=[1.0 / (r + 1) for r in range(40)], k=k)
+
+
 class TestInlinedRecurrence:
     @pytest.mark.parametrize("alpha", [1.0, 0.999, 0.5])
     def test_bit_identical_to_published_recurrence(self, alpha):
-        """observe() equals the recurrence written with plog2p, bit for bit."""
-        rng = random.Random(int(alpha * 1000))
-        stream = rng.choices(range(40), weights=[1.0 / (r + 1) for r in range(40)], k=20_000)
+        """observe() equals the published recurrence multiplied by (n+1)²
+        and by n+1, written out here with L(x) = x·log2(x), bit for bit:
+        d = n²·G and u = n·H."""
         est = FadingEstimator(alpha)
         counts = {}
-        n, g, h = 0, 0.0, 0.0
-        for label in stream:
-            n_i = counts.get(label, 0)
-            new_n = n + 1
-            g = 1.0 - (n * n * (1.0 - alpha * g) + 2.0 * n_i + 1.0) / (new_n * new_n)
-            old_part = (n / new_n) * (alpha * h - math.log2(n / new_n)) if n else 0.0
-            h = old_part - plog2p((n_i + 1) / new_n) + plog2p(n_i / new_n)
-            n = new_n
-            counts[label] = n_i + 1
+        n, d, u = 0, 0.0, 0.0
+        for label in skewed_stream(int(alpha * 1000), 20_000):
+            c = counts.get(label, 0)
+            d = alpha * d + 2.0 * (n - c)
+            u = alpha * u + (plog(n + 1) - plog(n)) - (plog(c + 1) - plog(c))
+            n += 1
+            counts[label] = c + 1
 
             est.observe(label)
-            assert est.g.hex() == g.hex()
-            assert est.h.hex() == h.hex()
+            assert est.d.hex() == d.hex()
+            assert est.u.hex() == u.hex()
+            gini_value, entropy_value = est.metrics()
+            assert bits(gini_value) == bits(min(1.0, max(0.0, d / (n * n))))
+            assert bits(entropy_value) == bits(max(0.0, u / n))
         assert est.n == n
         assert est.counts == counts
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.999999, 0.999, 0.5])
+    def test_close_to_cancellation_free_reference(self, alpha):
+        """Every row stays within 1e-14 (Gini) and 2e-13 (entropy) of the
+        published recurrence in the form n²(1-G) and n·H, with each
+        L(x+1) - L(x) taken without cancellation. The contract is 1e-9."""
+        est = FadingEstimator(alpha)
+        counts = {}
+        n, ssq, nh = 0, 0.0, 0.0
+        worst_gini = worst_entropy = 0.0
+        for label in skewed_stream(int(alpha * 1e6) + 7, 50_000):
+            c = counts.get(label, 0)
+            ssq = (1.0 - alpha) * n * n + alpha * ssq + 2 * c + 1
+            nh = alpha * nh + step(n) - step(c)
+            n += 1
+            counts[label] = c + 1
+
+            est.observe(label)
+            gini_value, entropy_value = est.metrics()
+            worst_gini = max(worst_gini, abs(gini_value - (1.0 - ssq / (n * n))))
+            worst_entropy = max(worst_entropy, abs(entropy_value - nh / n))
+        assert worst_gini <= 1e-14
+        assert worst_entropy <= 2e-13
 
     @pytest.mark.parametrize(
         "raw",
@@ -89,7 +131,8 @@ class TestInlinedRecurrence:
     def test_clamp_matches_min_max(self, raw):
         """metrics() clamps like min/max: NaN and -0.0 report +0.0."""
         est = FadingEstimator(0.9)
-        est.g = est.h = raw
+        est.n = 1.0
+        est.d = est.u = raw
         gini_value, entropy_value = est.metrics()
         assert bits(gini_value) == bits(min(1.0, max(0.0, raw)))
         assert bits(entropy_value) == bits(max(0.0, raw))
@@ -109,8 +152,9 @@ class TestNoFadingReduction:
             gini_state = gini_state.inc(before)
             entropy_state = entropy_state.inc(before)
             counts[label] = before + 1
-            assert abs(est.g - gini_state.value) <= 1e-9
-            assert abs(est.h - entropy_state.value) <= 1e-9
+            n = est.n
+            assert abs(est.d / (n * n) - gini_state.value) <= 1e-9
+            assert abs(est.u / n - entropy_state.value) <= 1e-9
 
 
 class TestBounds:
@@ -122,7 +166,7 @@ class TestBounds:
         cap = math.log2(classes) + 1e-9
         for _ in range(10_000):
             est.observe(rng.randrange(classes))
-            assert -1e-9 <= est.g <= 1.0 + 1e-9
+            assert -1e-9 <= est.d / (est.n * est.n) <= 1.0 + 1e-9
             gini_value, entropy_value = est.metrics()
             assert 0.0 <= gini_value <= 1.0
             assert 0.0 <= entropy_value <= cap
@@ -131,11 +175,13 @@ class TestBounds:
 class TestPureStreamFixpoint:
     @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99, 1.0])
     def test_single_class_stream_is_exactly_zero(self, alpha):
+        # d gains 2·(n - c) = 0 and u gains (L(n+1) - L(n)) - (L(c+1) - L(c)) = 0.0.
         est = FadingEstimator(alpha)
         for _ in range(2000):
             est.observe("only")
-            assert bits(est.g) == bits(0.0)
-            assert bits(est.h) == bits(0.0)
+            assert bits(est.d) == bits(0.0)
+            assert bits(est.u) == bits(0.0)
+            assert [bits(value) for value in est.metrics()] == [bits(0.0)] * 2
 
 
 class TestDeterminism:
@@ -147,5 +193,5 @@ class TestDeterminism:
         for label in stream:
             a.observe(label)
             b.observe(label)
-            assert bits(a.g) == bits(b.g)
-            assert bits(a.h) == bits(b.h)
+            assert bits(a.d) == bits(b.d)
+            assert bits(a.u) == bits(b.u)

@@ -75,8 +75,10 @@ class TestRoundTrips:
         assert bits(restored.alpha) == bits(est.alpha)
         assert restored.n == est.n
         assert restored.counts == est.counts
-        assert bits(restored.g) == bits(est.g)
-        assert bits(restored.h) == bits(est.h)
+        assert restored.plogs == est.plogs
+        assert bits(restored.plog_n) == bits(est.plog_n)
+        assert bits(restored.d) == bits(est.d)
+        assert bits(restored.u) == bits(est.u)
 
     def test_exact_state_roundtrips(self, tmp_path):
         est, interner, events = exact_fixture()
@@ -159,14 +161,14 @@ class TestErrors:
         est, interner, events = window_fixture(20)
         path = tmp_path / "state.snap"
         save_snapshot(path, "window", est, interner, events)
-        text = path.read_text().replace("snapshot 3 window", "snapshot 99 window", 1)
+        text = path.read_text().replace("snapshot 4 window", "snapshot 99 window", 1)
         path.write_text(text)
         with pytest.raises(SnapshotError, match="version"):
             load_snapshot(path)
 
     def test_unknown_mode_tag(self, tmp_path):
         path = tmp_path / "state.snap"
-        path.write_text("impurity-stream-snapshot 3 sideways\nevents 0\nlabels []\n")
+        path.write_text("impurity-stream-snapshot 4 sideways\nevents 0\nlabels []\n")
         with pytest.raises(SnapshotError, match="mode"):
             load_snapshot(path)
 

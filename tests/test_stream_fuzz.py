@@ -440,7 +440,7 @@ def out_of_range_fading():
     lie outside the range that metrics() clamps to for some events."""
     estimator = FadingEstimator(0.9)
     estimator.observe(0)
-    estimator.g, estimator.h = 40.0, -100.0
+    estimator.d, estimator.u = 40.0, -100.0
     return estimator
 
 
@@ -460,7 +460,8 @@ def test_observe_block_matches_observe_and_metrics(make_estimator, seen, every):
         estimator = make_estimator()
         rows = estimator.observe_block(ids[:split], seen, every)
         rows += estimator.observe_block(ids[split:], seen + split, every)
-        assert [(index, bits(gini), bits(entropy)) for index, gini, entropy in rows] == expected
+        assert [(index, bits(gini), bits(entropy)) for index, gini, entropy in zip(*[iter(rows)] * 3)] == expected
+        assert len(rows) == 3 * len(expected)
         assert state_of(estimator) == state_of(reference_estimator)
 
 

@@ -26,8 +26,16 @@ MODES = {
     "fading": ["--alpha", "0.9"],
     "exact": [],
 }
+# The fields of each mode's state file after its header, every one of which
+# the variants drop, duplicate, swap and change.
+FIELDS = {
+    "window": ["events", "labels", "capacity", "refresh_period", "events_since_refresh", "window"],
+    "fading": ["events", "labels", "alpha", "d", "u", "counts"],
+    "exact": ["events", "labels", "counts"],
+}
 # 10**20 is above sys.maxsize: a window that large must still run in blocks.
-REPLACEMENTS = ["-1", "0", "1e308", "nan", "inf", "-0x0p+0", "text", "100000000000000000000"]
+# -0x1p-10 is a negative float, which no fading d (n²·G) can be.
+REPLACEMENTS = ["-1", "0", "1e308", "nan", "inf", "-0x0p+0", "-0x1p-10", "text", "100000000000000000000"]
 NUMBER = re.compile(r"-?0x[0-9a-f.]+p[-+]\d+|\d+")
 
 
@@ -84,6 +92,7 @@ def test_tampered_state_is_rejected_or_resumes_sanely(tmp_path, monkeypatch, mod
     code, _, _ = _run(["run", "--mode", mode, *MODES[mode], "--input", str(head), "--save-state", str(state)])
     assert code == EXIT_OK
     lines = state.read_text(encoding="utf-8").splitlines()
+    assert [line.split(" ", 1)[0] for line in lines[1:]] == FIELDS[mode]
 
     count = 0
     for name, changed in _variants(lines):
