@@ -138,7 +138,8 @@ def run_stream(
     raises UnicodeDecodeError after the rows that reading the file line by
     line writes. Its lines go in blocks of at most ``_BLOCK`` to the
     interner's ``intern_many`` and the estimator's ``observe_block``, which
-    returns the block's rows. An iterable of lines, or an estimator without
+    returns the block's rows as one flat list ``[index, gini, entropy, …]``.
+    An iterable of lines, or an estimator without
     ``observe_block`` or an interner without ``intern_many``, is taken line
     by line. Rows, errors and the estimator's state are those that reading
     line by line gives.
