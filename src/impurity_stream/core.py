@@ -30,8 +30,10 @@ __all__ = [
     "plog2p",
 ]
 
-# Class identifiers are opaque; streams typically use dense ints from Interner.
-Label = Hashable
+# A class id as the window and fading estimators take it: a dense int from
+# Interner, from 0 to len(interner) - 1. The exact functions, the states and
+# ExactEstimator take any hashable key.
+Label = int
 
 
 def plog2p(p: float) -> float:
@@ -39,7 +41,7 @@ def plog2p(p: float) -> float:
     return p * math.log2(p) if p > 0.0 else 0.0
 
 
-def gini_exact(counts: Mapping[Label, float]) -> float:
+def gini_exact(counts: Mapping[Hashable, float]) -> float:
     """Gini index of a count vector, recomputed from scratch.
 
     Accepts any mapping from class label to nonnegative mass. Returns 0 for
@@ -52,7 +54,7 @@ def gini_exact(counts: Mapping[Label, float]) -> float:
     return 1.0 - sum(v * v for v in values) / (total * total)
 
 
-def entropy_exact(counts: Mapping[Label, float]) -> float:
+def entropy_exact(counts: Mapping[Hashable, float]) -> float:
     """Shannon entropy (bits) of a count vector, recomputed from scratch."""
     values = counts.values()
     total = sum(values)
@@ -171,23 +173,14 @@ def state_fields(state: Mapping[str, object], **kinds: type) -> List[object]:
     return values
 
 
-def counts_by_id(counts: Mapping[int, int]) -> List[int]:
-    """Class counts as a list indexed by interned class id, 0 for an absent id."""
-    by_id = [0] * (max(counts, default=-1) + 1)
-    for class_id, count in counts.items():
-        by_id[class_id] = count
-    return by_id
-
-
-def counts_from_ids(by_id: List[int], events: int, n_labels: int) -> Dict[int, int]:
-    """Inverse of counts_by_id; ValueError unless ``events`` events over
-    ``n_labels`` labels can give these counts."""
+def check_counts(by_id: List[int], events: int, n_labels: int) -> None:
+    """ValueError unless ``events`` events over ``n_labels`` labels can give
+    the class counts ``by_id``, a list indexed by interned class id."""
     if len(by_id) > n_labels:
         raise ValueError(f"{len(by_id)} counts for {n_labels} labels")
     total = sum(by_id)
     if total != events:
         raise ValueError(f"the counts sum to {total}, not to the {events} events seen")
-    return {class_id: count for class_id, count in enumerate(by_id) if count}
 
 
 class ExactEstimator:
@@ -201,16 +194,16 @@ class ExactEstimator:
     __slots__ = ("counts",)
 
     def __init__(self) -> None:
-        self.counts: Dict[Label, int] = {}
+        self.counts: Dict[Hashable, int] = {}
 
-    def observe(self, label: Label) -> None:
+    def observe(self, label: Hashable) -> None:
         counts = self.counts
         counts[label] = counts.get(label, 0) + 1
 
     def metrics(self) -> Tuple[float, float]:
         return (gini_exact(self.counts), entropy_exact(self.counts))
 
-    def observe_block(self, labels: Sequence[Label], seen: int, every: int) -> List[float]:
+    def observe_block(self, labels: Sequence[Hashable], seen: int, every: int) -> List[float]:
         """Observe ``labels`` as the events after the first ``seen`` of a
         stream; returns the flat rows ``[index, gini, entropy, index, …]`` of
         each event whose count is a multiple of ``every``, its index one
@@ -227,13 +220,18 @@ class ExactEstimator:
 
     def state(self) -> Dict[str, object]:
         """The fields that restore this estimator; see ``snapshot``."""
-        return {"counts": counts_by_id(self.counts)}
+        counts = self.counts
+        by_id = [0] * (max(counts, default=-1) + 1)
+        for class_id, count in counts.items():
+            by_id[class_id] = count
+        return {"counts": by_id}
 
     @classmethod
     def from_state(cls, state: Mapping[str, object], events: int, n_labels: int) -> "ExactEstimator":
         """Rebuild an estimator from state() after ``events`` events over
         ``n_labels`` labels; ValueError if no run reaches that state."""
         (by_id,) = state_fields(state, counts=list)
+        check_counts(by_id, events, n_labels)
         estimator = cls()
-        estimator.counts = counts_from_ids(by_id, events, n_labels)
+        estimator.counts = {class_id: count for class_id, count in enumerate(by_id) if count}
         return estimator

@@ -13,9 +13,9 @@ the drift with periodic exact refreshes rather than in these transitions.
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Tuple
+from typing import Hashable, Mapping, NamedTuple, Tuple
 
-from .core import Label, entropy_exact, plog2p, rescale_entropy
+from .core import entropy_exact, plog2p, rescale_entropy
 from .gini import _DRAIN_TOL
 
 __all__ = ["EntropyState"]
@@ -28,7 +28,7 @@ class EntropyState(NamedTuple):
     value: float = 0.0
 
     @classmethod
-    def from_counts(cls, counts: Mapping[Label, float]) -> "EntropyState":
+    def from_counts(cls, counts: Mapping[Hashable, float]) -> "EntropyState":
         """Evaluate a count vector exactly (O(k))."""
         return cls(float(sum(counts.values())), entropy_exact(counts))
 
@@ -63,7 +63,7 @@ class EntropyState(NamedTuple):
         )
         return EntropyState(new_total, value)
 
-    def batch_increase(self, delta: Mapping[Label, Tuple[float, float]]) -> "EntropyState":
+    def batch_increase(self, delta: Mapping[Hashable, Tuple[float, float]]) -> "EntropyState":
         """Grow several existing classes at once; O(#changed classes).
 
         ``delta`` maps each class to its current mass x > 0 and its increase

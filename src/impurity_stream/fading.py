@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import log2
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .core import Label, counts_by_id, counts_from_ids, state_fields
+from .core import Label, check_counts, state_fields
 
 __all__ = ["FadingEstimator"]
 
@@ -34,7 +34,10 @@ class FadingEstimator:
     calls. n, the counts and the L values are floats, so no step mixes an
     int with a float; a count is exact up to 2**53.
 
-    Memory is O(distinct classes), independent of stream length.
+    A label is an interned class id: an int from 0 to the number of labels
+    interned less one. ``counts`` and ``plogs`` are lists indexed by id that
+    grow to the largest id observed. A negative id raises ValueError and a
+    str TypeError. Memory is O(ids), independent of stream length.
     Single-writer; not safe for concurrent mutation.
     """
 
@@ -43,8 +46,8 @@ class FadingEstimator:
             raise ValueError("fading factor must be in (0, 1]")
         self.alpha = alpha
         self.n = 0.0
-        self.counts: Dict[Label, float] = {}
-        self.plogs: Dict[Label, float] = {}
+        self.counts: List[float] = []
+        self.plogs: List[float] = []
         self.plog_n = 0.0
         self.d = 0.0
         self.u = 0.0
@@ -52,15 +55,22 @@ class FadingEstimator:
     def observe(self, label: Label) -> None:
         """Fold one labeled event into both faded metrics, with the
         operations of observe_block's loop in their order."""
+        counts = self.counts
+        if label >= len(counts):
+            grow = [0.0] * (label + 1 - len(counts))
+            counts += grow
+            self.plogs += grow
+        elif label < 0:
+            raise ValueError(f"class id {label} is negative")
         n = self.n
-        c = self.counts.get(label, 0.0)
+        c = counts[label]
         c_next = c + 1.0
         n_next = n + 1.0
         plog_c_next = c_next * log2(c_next)
         plog_n_next = n_next * log2(n_next)
         self.d = self.alpha * self.d + 2.0 * (n - c)
-        self.u = self.alpha * self.u + (plog_n_next - self.plog_n) - (plog_c_next - self.plogs.get(label, 0.0))
-        self.counts[label] = c_next
+        self.u = self.alpha * self.u + (plog_n_next - self.plog_n) - (plog_c_next - self.plogs[label])
+        counts[label] = c_next
         self.plogs[label] = plog_c_next
         self.n = n_next
         self.plog_n = plog_n_next
@@ -73,8 +83,14 @@ class FadingEstimator:
         """
         counts = self.counts
         plogs = self.plogs
-        count_of = counts.get
-        plog_of = plogs.get
+        if labels:
+            if min(labels) < 0:
+                raise ValueError(f"class id {min(labels)} is negative")
+            top = max(labels)
+            if top >= len(counts):
+                grow = [0.0] * (top + 1 - len(counts))
+                counts += grow
+                plogs += grow
         alpha = self.alpha
         n = self.n
         plog_n = self.plog_n
@@ -83,13 +99,13 @@ class FadingEstimator:
         due = every - seen % every  # events up to and including the next row's
         rows: List[float] = []
         for index, label in enumerate(labels, seen):
-            c = count_of(label, 0.0)
+            c = counts[label]
             c_next = c + 1.0
             n_next = n + 1.0
             plog_c_next = c_next * log2(c_next)
             plog_n_next = n_next * log2(n_next)
             d = alpha * d + 2.0 * (n - c)
-            u = alpha * u + (plog_n_next - plog_n) - (plog_c_next - plog_of(label, 0.0))
+            u = alpha * u + (plog_n_next - plog_n) - (plog_c_next - plogs[label])
             counts[label] = c_next
             plogs[label] = plog_c_next
             n = n_next
@@ -127,7 +143,7 @@ class FadingEstimator:
 
         ``n`` and the L values are not among them: they follow from the counts.
         """
-        return {"alpha": float(self.alpha), "d": self.d, "u": self.u, "counts": list(map(int, counts_by_id(self.counts)))}
+        return {"alpha": float(self.alpha), "d": self.d, "u": self.u, "counts": list(map(int, self.counts))}
 
     @classmethod
     def from_state(cls, state: Mapping[str, object], events: int, n_labels: int) -> "FadingEstimator":
@@ -143,8 +159,9 @@ class FadingEstimator:
         if events > _EXACT:
             raise ValueError(f"{events} events is more than the {_EXACT} a float counts exactly")
         estimator = cls(alpha)
-        estimator.counts = {label: float(c) for label, c in counts_from_ids(by_id, events, n_labels).items()}
-        estimator.plogs = {label: c * log2(c) for label, c in estimator.counts.items()}
+        check_counts(by_id, events, n_labels)
+        estimator.counts = list(map(float, by_id))
+        estimator.plogs = [c * log2(c) if c else 0.0 for c in estimator.counts]
         n = float(events)
         estimator.n = n
         estimator.plog_n = n * log2(n) if events else 0.0

@@ -18,9 +18,9 @@ tuples; transitions return new states and never mutate.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Tuple
+from typing import Hashable, Mapping, NamedTuple, Tuple
 
-from .core import Label, gini_exact, sum_squares
+from .core import gini_exact, sum_squares
 
 __all__ = ["GiniState"]
 
@@ -37,7 +37,7 @@ class GiniState(NamedTuple):
     value: float = 0.0
 
     @classmethod
-    def from_counts(cls, counts: Mapping[Label, float]) -> "GiniState":
+    def from_counts(cls, counts: Mapping[Hashable, float]) -> "GiniState":
         """Evaluate a count vector exactly (O(k))."""
         return cls(float(sum(counts.values())), gini_exact(counts))
 
@@ -54,7 +54,7 @@ class GiniState(NamedTuple):
         ssq = sum_squares(self.total, self.value) + x * x
         return GiniState(new_total, 1.0 - ssq / (new_total * new_total))
 
-    def batch_increase(self, delta: Mapping[Label, Tuple[float, float]]) -> "GiniState":
+    def batch_increase(self, delta: Mapping[Hashable, Tuple[float, float]]) -> "GiniState":
         """Grow several classes at once; O(#changed classes).
 
         ``delta`` maps each class to its current mass x >= 0 (0 for a class

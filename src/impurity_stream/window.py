@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, deque
-from itertools import islice
+from itertools import chain, islice, repeat
 from math import ldexp, log2
 from typing import Deque, Dict, List, Mapping, Sequence, Tuple
 
 from .core import Label, state_fields
 
 __all__ = ["SlidingWindowEstimator"]
+
+# The window packs t and s2 into one int, t << _SHIFT | s2. A deque holds
+# fewer than 2**63 items, so s2 <= n**2 < 2**126 never reaches the t bits.
+_SHIFT = 128
+_S2_MASK = (1 << _SHIFT) - 1
 
 
 def _scaled_plog2(count: int) -> int:
@@ -21,10 +27,12 @@ def _scaled_plog2(count: int) -> int:
     return int(ldexp(count * log2(count), 52)) if count >= 2 else 0
 
 
-# _STEP[c] == _scaled_plog2(c + 1) - _scaled_plog2(c), shared by every window.
-# It grows on demand up to the largest count any window has reached, not to
-# the capacity: a large window of many small classes keeps it short.
-_STEP: List[int] = [0]
+# _STEP[c] is what a count moving from c to c + 1 adds to the packed sums:
+# (_scaled_plog2(c + 1) - _scaled_plog2(c)) << _SHIFT in t's bits and
+# 2c + 1 in s2's. Shared by every window, it grows on demand up to the
+# largest count any window has reached, not to the capacity: a large window
+# of many small classes keeps it short.
+_STEP: List[int] = []
 
 
 def _grow_steps(count: int) -> List[int]:
@@ -32,7 +40,7 @@ def _grow_steps(count: int) -> List[int]:
     scaled = _scaled_plog2(len(_STEP))
     for c in range(len(_STEP), count + 1):
         following = _scaled_plog2(c + 1)
-        _STEP.append(following - scaled)
+        _STEP.append(((following - scaled) << _SHIFT) + 2 * c + 1)
         scaled = following
     return _STEP
 
@@ -40,22 +48,26 @@ def _grow_steps(count: int) -> List[int]:
 class SlidingWindowEstimator:
     """Both impurity metrics of the last ``capacity`` labels, in O(1) per event.
 
-    A full window evicts its oldest label before inserting the new one, so
-    occupancy never exceeds the capacity. The window holds labels only;
-    memory is O(capacity + distinct classes). Callers feeding long streams
-    typically pass small interned ids.
+    A label is an interned class id: an int from 0 to the number of labels
+    interned less one. ``counts`` is a list indexed by id that grows to the
+    largest id observed; a count that falls to 0 stays in it. A negative id
+    raises ValueError and a str TypeError. Memory is O(capacity + ids).
 
-    The state is two exact integers over the window's class counts c:
-    ``s2`` = sum of c**2 and ``t`` = sum of P(c), where P(c) is c*log2(c)
-    scaled by 2**52 (an exact int). A count moving between c and c + 1 moves
-    ``s2`` by 2c + 1 and ``t`` by a table entry, so nothing accumulates
+    A full window evicts its oldest label before inserting the new one, so
+    occupancy never exceeds the capacity.
+
+    The state is one exact int, ``sums`` = t·2**128 + s2, over the window's
+    class counts c: ``s2`` = sum of c**2 and ``t`` = sum of P(c), where P(c)
+    is c*log2(c) scaled by 2**52 (an exact int). s2 <= n**2 < 2**126 for any
+    window a deque holds, so the two never overlap. A count moving between
+    c and c + 1 moves ``sums`` by a table entry, so nothing accumulates
     rounding: Gini is 1 - s2/n**2 and entropy log2(n) - t/(n * 2**52), each
     from correctly rounded int divisions, and both follow from the window
     alone.
 
     ``refresh_period`` > 0 calls refresh() every that-many events. It
-    rebuilds ``s2`` and ``t`` from the counts (O(k)), which gives the same
-    integers; 0 disables it.
+    rebuilds ``sums`` from the counts (O(ids)), which gives the same int; 0
+    disables it.
 
     Single-writer: observe() mutates in place and is not safe for concurrent
     use. Treat ``window`` and ``counts`` as read-only.
@@ -68,11 +80,21 @@ class SlidingWindowEstimator:
             raise ValueError("refresh period must be >= 0 (0 disables)")
         self.capacity = capacity
         self.refresh_period = refresh_period
-        self.window: Deque[Label] = deque()
-        self.counts: Dict[Label, int] = {}
-        self.s2 = 0
-        self.t = 0
+        # A capacity beyond sys.maxsize is never reached, and maxlen takes none.
+        self.window: Deque[Label] = deque(maxlen=min(capacity, sys.maxsize))
+        self.counts: List[int] = []
+        self.sums = 0
         self.events_since_refresh = 0
+
+    @property
+    def s2(self) -> int:
+        """Sum of the squared class counts."""
+        return self.sums & _S2_MASK
+
+    @property
+    def t(self) -> int:
+        """Sum of P(c) over the class counts."""
+        return self.sums >> _SHIFT
 
     def __len__(self) -> int:
         return len(self.window)
@@ -81,28 +103,25 @@ class SlidingWindowEstimator:
         """Slide the window forward by one labeled event."""
         window = self.window
         counts = self.counts
-        step = _STEP
-        s2 = self.s2
-        t = self.t
+        if label >= len(counts):
+            counts += [0] * (label + 1 - len(counts))
+        elif label < 0:
+            raise ValueError(f"class id {label} is negative")
+        sums = self.sums
         if len(window) >= self.capacity:
             # The oldest label leaves; its count drops to ``after``.
             oldest = window.popleft()
             after = counts[oldest] - 1
-            if after:
-                counts[oldest] = after
-            else:
-                del counts[oldest]
-            s2 -= 2 * after + 1
-            t -= step[after]
+            counts[oldest] = after
+            sums -= _STEP[after]
         # The new label enters; its count rises from ``before``.
-        before = counts.get(label, 0)
-        window.append(label)
+        before = counts[label]
         counts[label] = before + 1
-        self.s2 = s2 + 2 * before + 1
+        window.append(label)
         try:
-            self.t = t + step[before]
+            self.sums = sums + _STEP[before]
         except IndexError:
-            self.t = t + _grow_steps(before)[before]
+            self.sums = sums + _grow_steps(before)[before]
         self.events_since_refresh += 1
         if self.refresh_period and self.events_since_refresh >= self.refresh_period:
             self.refresh()
@@ -115,44 +134,46 @@ class SlidingWindowEstimator:
         refreshes at most once, at the end of the call, when a refresh
         period ends inside it: a refresh changes no value.
         """
-        window = self.window
+        if not labels:
+            return
         counts = self.counts
-        get = counts.get
-        append = window.append
+        if min(labels) < 0:
+            raise ValueError(f"class id {min(labels)} is negative")
+        top = max(labels)
+        if top >= len(counts):
+            counts += [0] * (top + 1 - len(counts))
+        window = self.window
         step = _STEP
-        s2 = self.s2
-        t = self.t
-        # Until the window is full, labels only enter. The block's length
-        # bounds the fill count: islice takes no count above sys.maxsize.
-        remaining = iter(labels)
-        for label in islice(remaining, min(self.capacity - len(window), len(labels))):
-            before = get(label, 0)
-            append(label)
-            counts[label] = before + 1
-            s2 += 2 * before + 1
-            try:
-                t += step[before]
-            except IndexError:
-                t += _grow_steps(before)[before]
-        # From then on the oldest label leaves before each one enters.
-        popleft = window.popleft
-        for label in remaining:
-            oldest = popleft()
-            after = counts[oldest] - 1
-            if after:
+        sums = self.sums
+        # Until the window is full, labels only enter.
+        fill = self.capacity - len(window)
+        arriving = labels
+        if fill > 0:
+            head = labels[:fill]
+            for label in head:
+                before = counts[label]
+                counts[label] = before + 1
+                try:
+                    sums += step[before]
+                except IndexError:
+                    sums += _grow_steps(before)[before]
+            window.extend(head)
+            arriving = labels[fill:]
+        if arriving:
+            # The i-th arriving label evicts the i-th of the window's labels
+            # followed by the arriving ones, the oldest first.
+            evicted = list(islice(chain(window, arriving), len(arriving)))
+            window.extend(arriving)
+            for oldest, label in zip(evicted, arriving):
+                after = counts[oldest] - 1
                 counts[oldest] = after
-            else:
-                del counts[oldest]
-            before = get(label, 0)
-            append(label)
-            counts[label] = before + 1
-            s2 += 2 * (before - after)
-            try:
-                t += step[before] - step[after]
-            except IndexError:
-                t += _grow_steps(before)[before] - step[after]
-        self.s2 = s2
-        self.t = t
+                before = counts[label]
+                counts[label] = before + 1
+                try:
+                    sums += step[before] - step[after]
+                except IndexError:
+                    sums += _grow_steps(before)[before] - step[after]
+        self.sums = sums
         since = self.events_since_refresh + len(labels)
         period = self.refresh_period
         if period and since >= period:
@@ -186,20 +207,22 @@ class SlidingWindowEstimator:
         return rows
 
     def refresh(self) -> None:
-        """Rebuild ``s2`` and ``t`` from the window's class counts."""
-        # Many classes share a count, so sum over the distinct counts.
-        tally = Counter(self.counts.values())
-        self.s2 = sum(c * c * k for c, k in tally.items())
-        self.t = sum(_scaled_plog2(c) * k for c, k in tally.items())
+        """Rebuild ``sums`` from the window's class counts."""
+        # Many classes share a count, so sum over the distinct counts; a
+        # count of 0 adds nothing.
+        self.sums = sum(((_scaled_plog2(c) << _SHIFT) + c * c) * k for c, k in Counter(self.counts).items())
         self.events_since_refresh = 0
 
     def metrics(self) -> Tuple[float, float]:
         """Current (gini, entropy); O(1)."""
-        if len(self.counts) < 2:
-            return (0.0, 0.0)
         n = len(self.window)
+        sums = self.sums
+        s2 = sums & _S2_MASK
+        # sum c**2 == (sum c)**2 only when at most one count is nonzero.
+        if s2 == n * n:
+            return (0.0, 0.0)
         # t / n is a correctly rounded int division; scaling it by 2**-52 is exact.
-        return (1.0 - self.s2 / (n * n), max(0.0, log2(n) - ldexp(self.t / n, -52)))
+        return (1.0 - s2 / (n * n), max(0.0, log2(n) - ldexp((sums >> _SHIFT) / n, -52)))
 
     def state(self) -> Dict[str, object]:
         """The fields that restore this estimator; see ``snapshot``."""
@@ -230,8 +253,8 @@ class SlidingWindowEstimator:
         if max(window, default=-1) >= n_labels:
             raise ValueError("class id outside the label table")
         estimator.window.extend(window)
-        estimator.counts = dict(Counter(window))
-        _grow_steps(max(estimator.counts.values(), default=0))
+        estimator.counts = list(map(Counter(window).get, range(n_labels), repeat(0)))
+        _grow_steps(max(estimator.counts, default=0))
         estimator.refresh()
         estimator.events_since_refresh = since
         return estimator

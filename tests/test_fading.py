@@ -33,28 +33,62 @@ class TestConstruction:
 class TestObserve:
     def test_pure_pair_stays_zero(self):
         est = FadingEstimator(0.5)
-        est.observe("a")
+        est.observe(0)
         assert est.metrics() == (0.0, 0.0)
-        est.observe("a")
+        est.observe(0)
         assert est.metrics() == (0.0, 0.0)
 
     def test_two_class_split_after_two_events(self):
         # the faded terms multiply a zero, so any factor gives the exact split
-        est = feed(FadingEstimator(0.5), ["a", "b"])
+        est = feed(FadingEstimator(0.5), [0, 1])
         gini_value, entropy_value = est.metrics()
         assert gini_value == pytest.approx(0.5, abs=1e-12)
         assert entropy_value == pytest.approx(1.0, abs=1e-12)
 
     def test_counts_stay_unweighted(self):
-        est = feed(FadingEstimator(0.5), ["a", "b", "a"])
-        assert est.counts == {"a": 2, "b": 1}
+        est = feed(FadingEstimator(0.5), [0, 1, 0])
+        assert est.counts == [2, 1]
         assert est.n == 3
 
     def test_no_fading_matches_exact_metrics(self):
-        est = feed(FadingEstimator(1.0), ["a", "a", "b"])
+        est = feed(FadingEstimator(1.0), [0, 0, 1])
         gini_value, entropy_value = est.metrics()
         assert gini_value == pytest.approx(0.4444444444444444, abs=1e-12)
         assert entropy_value == pytest.approx(0.9182958340544896, abs=1e-12)
+
+
+class TestLabels:
+    """A label is a dense class id: an int >= 0."""
+
+    @staticmethod
+    def snapshot(est):
+        return (list(est.counts), list(est.plogs), est.n, est.plog_n, est.d, est.u)
+
+    def test_negative_id_changes_nothing(self):
+        est = feed(FadingEstimator(0.9), [0, 1, 2, 1])
+        before = self.snapshot(est)
+        with pytest.raises(ValueError, match="negative"):
+            est.observe(-1)
+        with pytest.raises(ValueError, match="negative"):
+            est.observe_block([2, -1, 0], 4, 1)
+        assert self.snapshot(est) == before
+
+    def test_str_label_raises_type_error(self):
+        est = feed(FadingEstimator(0.9), [0, 1])
+        before = self.snapshot(est)
+        with pytest.raises(TypeError):
+            est.observe("a")
+        with pytest.raises(TypeError):
+            est.observe_block(["a", "b"], 2, 1)
+        assert self.snapshot(est) == before
+
+    def test_counts_grow_to_the_largest_id(self):
+        est = FadingEstimator(0.9)
+        est.observe_block([3, 1], 0, 1)
+        assert est.counts == [0, 1, 0, 1]
+        est.observe(5)
+        assert est.counts == [0, 1, 0, 1, 0, 1]
+        assert est.plogs == [0.0] * 6
 
 
 LN2 = math.log(2.0)
@@ -98,7 +132,7 @@ class TestInlinedRecurrence:
             assert bits(gini_value) == bits(min(1.0, max(0.0, d / (n * n))))
             assert bits(entropy_value) == bits(max(0.0, u / n))
         assert est.n == n
-        assert est.counts == counts
+        assert est.counts == [counts.get(i, 0) for i in range(max(counts) + 1)]
 
     @pytest.mark.parametrize("alpha", [1.0, 0.999999, 0.999, 0.5])
     def test_close_to_cancellation_free_reference(self, alpha):
@@ -179,7 +213,7 @@ class TestPureStreamFixpoint:
         # d gains 2·(n - c) = 0 and u gains (L(n+1) - L(n)) - (L(c+1) - L(c)) = 0.0.
         est = FadingEstimator(alpha)
         for _ in range(2000):
-            est.observe("only")
+            est.observe(0)
             assert bits(est.d) == bits(0.0)
             assert bits(est.u) == bits(0.0)
             assert [bits(value) for value in est.metrics()] == [bits(0.0)] * 2

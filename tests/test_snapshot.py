@@ -130,7 +130,7 @@ class TestRoundTrips:
         est, interner, events = window_fixture()
         path = tmp_path / "state.snap"
         save_snapshot(path, "window", est, interner, events)
-        monkeypatch.setattr(window_module, "_STEP", [0])
+        monkeypatch.setattr(window_module, "_STEP", [])
         restored = load_snapshot(path).estimator
         for label in [interner.intern("fresh")] * est.capacity:
             restored.observe(label)
@@ -249,12 +249,12 @@ class TestErrors:
         )
 
     def test_uninterned_labels_rejected_on_save(self, tmp_path):
-        est = SlidingWindowEstimator(4)
+        est = ExactEstimator()
         est.observe("raw-string-label")
         with pytest.raises(SnapshotError, match="interned"):
-            save_snapshot(tmp_path / "s", "window", est, Interner(), 1)
+            save_snapshot(tmp_path / "s", "exact", est, Interner(), 1)
         assert list(tmp_path.iterdir()) == []
-        self._check_failed_save_keeps_target(tmp_path, "window", est, Interner(), 1, "interned")
+        self._check_failed_save_keeps_target(tmp_path, "exact", est, Interner(), 1, "interned")
 
     def test_save_over_a_fifo_is_refused(self, tmp_path):
         fifo = tmp_path / "p"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter, deque
 
 import pytest
@@ -41,28 +42,29 @@ class TestConstruction:
 
 class TestObserve:
     def test_pure_window_stays_exactly_zero(self):
-        est = feed(SlidingWindowEstimator(3), ["a", "a", "a"])
+        est = feed(SlidingWindowEstimator(3), [0, 0, 0])
         gini_value, entropy_value = est.metrics()
         assert bits(gini_value) == bits(0.0)
         assert bits(entropy_value) == bits(0.0)
 
     def test_eviction_keeps_only_recent_labels(self):
-        est = feed(SlidingWindowEstimator(2), ["a", "b", "a"])
-        assert list(est.window) == ["b", "a"]
-        assert est.counts == {"b": 1, "a": 1}
+        est = feed(SlidingWindowEstimator(2), [0, 1, 0])
+        assert list(est.window) == [1, 0]
+        assert est.counts == [1, 1]
         gini_value, entropy_value = est.metrics()
         assert gini_value == pytest.approx(0.5, abs=1e-12)
         assert entropy_value == pytest.approx(1.0, abs=1e-12)
 
     def test_window_collapsing_back_to_pure(self):
-        est = feed(SlidingWindowEstimator(2), ["a", "b", "b"])
-        assert list(est.window) == ["b", "b"]
+        est = feed(SlidingWindowEstimator(2), [0, 1, 1])
+        assert list(est.window) == [1, 1]
+        assert est.counts == [0, 2]
         gini_value, entropy_value = est.metrics()
         assert gini_value == pytest.approx(0.0, abs=1e-12)
         assert entropy_value == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_window_of_four(self):
-        est = feed(SlidingWindowEstimator(4), ["a", "b", "c", "d"])
+        est = feed(SlidingWindowEstimator(4), [0, 1, 2, 3])
         gini_value, entropy_value = est.metrics()
         assert gini_value == pytest.approx(0.75, abs=1e-12)
         assert entropy_value == pytest.approx(2.0, abs=1e-12)
@@ -91,7 +93,7 @@ class TestBookkeeping:
             est.observe(rng.randrange(3))
             if i >= 15:
                 assert len(est.window) == 16
-                assert sum(est.counts.values()) == 16
+                assert sum(est.counts) == 16
                 assert len(est) == 16
 
     def test_determinism_bitwise(self):
@@ -108,6 +110,43 @@ class TestBookkeeping:
             assert bits(ha) == bits(hb)
 
 
+class TestLabels:
+    """A label is a dense class id: an int >= 0."""
+
+    @staticmethod
+    def snapshot(est):
+        return (list(est.window), list(est.counts), est.sums, est.events_since_refresh)
+
+    def test_negative_id_changes_nothing(self):
+        est = feed(SlidingWindowEstimator(3, refresh_period=5), [0, 1, 2, 1])
+        before = self.snapshot(est)
+        with pytest.raises(ValueError, match="negative"):
+            est.observe(-1)
+        with pytest.raises(ValueError, match="negative"):
+            est.observe_many([2, -1, 0])
+        with pytest.raises(ValueError, match="negative"):
+            est.observe_block([0, 1, -3], 4, 1000)
+        assert self.snapshot(est) == before
+
+    def test_str_label_raises_type_error(self):
+        est = feed(SlidingWindowEstimator(3), [0, 1])
+        before = self.snapshot(est)
+        with pytest.raises(TypeError):
+            est.observe("a")
+        with pytest.raises(TypeError):
+            est.observe_many(["a", "b"])
+        with pytest.raises(TypeError):
+            est.observe_many([0, "b"])
+        assert self.snapshot(est) == before
+
+    def test_counts_grow_to_the_largest_id(self):
+        est = SlidingWindowEstimator(2)
+        est.observe_many([3, 1])
+        assert est.counts == [0, 1, 0, 1]
+        est.observe(5)
+        assert est.counts == [0, 1, 0, 0, 0, 1]
+
+
 class TestWindowExactness:
     @pytest.mark.parametrize("classes,capacity", [(2, 10), (7, 64), (50, 16)])
     def test_tracks_oracle_without_refresh(self, classes, capacity):
@@ -116,8 +155,9 @@ class TestWindowExactness:
         for _ in range(10_000):
             est.observe(rng.randrange(classes))
             gini_value, entropy_value = est.metrics()
-            assert abs(gini_value - gini_exact(est.counts)) <= 1e-6
-            assert abs(entropy_value - entropy_exact(est.counts)) <= 1e-6
+            counts = dict(enumerate(est.counts))
+            assert abs(gini_value - gini_exact(counts)) <= 1e-6
+            assert abs(entropy_value - entropy_exact(counts)) <= 1e-6
 
     def test_tracks_oracle_tightly_with_refresh(self):
         rng = random.Random(77)
@@ -125,8 +165,9 @@ class TestWindowExactness:
         for _ in range(10_000):
             est.observe(rng.randrange(7))
             gini_value, entropy_value = est.metrics()
-            assert abs(gini_value - gini_exact(est.counts)) <= 1e-9
-            assert abs(entropy_value - entropy_exact(est.counts)) <= 1e-9
+            counts = dict(enumerate(est.counts))
+            assert abs(gini_value - gini_exact(counts)) <= 1e-9
+            assert abs(entropy_value - entropy_exact(counts)) <= 1e-9
 
 
 def scaled_plog2(count):
@@ -147,14 +188,15 @@ class TestPowerSums:
         est = SlidingWindowEstimator(capacity, refresh_period)
         recent = deque()
         tally = Counter()
+        top = -1
         for label in zipf_stream(rng, 60, 20_000):
             est.observe(label)
             if len(recent) == capacity:
                 tally[recent.popleft()] -= 1
             recent.append(label)
             tally[label] += 1
-            tally = +tally
-            assert est.counts == tally
+            top = max(top, label)
+            assert est.counts == [tally[i] for i in range(top + 1)]
             assert est.s2 == sum(c * c for c in tally.values())
             assert est.t == sum(scaled_plog2(c) for c in tally.values())
 
@@ -184,7 +226,7 @@ class TestRefresh:
     def test_refresh_counter_resets(self):
         est = SlidingWindowEstimator(8, refresh_period=5)
         for i in range(5):
-            est.observe("a")
+            est.observe(0)
         assert est.events_since_refresh == 0
 
     def test_refresh_installs_exact_states(self):
@@ -198,28 +240,32 @@ class TestRefresh:
             twin.observe(label)
             if i % 13 == 0:
                 assert est.events_since_refresh == 0
-                assert est.s2 == sum(c * c for c in est.counts.values())
-                assert est.t == sum(scaled_plog2(c) for c in est.counts.values())
+                assert est.s2 == sum(c * c for c in est.counts)
+                assert est.t == sum(scaled_plog2(c) for c in est.counts)
             assert (est.s2, est.t) == (twin.s2, twin.t)
             assert [bits(v) for v in est.metrics()] == [bits(v) for v in twin.metrics()]
 
     def test_manual_refresh_matches_from_counts(self):
-        est = feed(SlidingWindowEstimator(4), ["a", "b", "b", "c"])
+        est = feed(SlidingWindowEstimator(4), [0, 1, 1, 2])
         sums, values = (est.s2, est.t), est.metrics()
         est.refresh()
         assert (est.s2, est.t) == sums
         assert est.metrics() == values
         assert est.events_since_refresh == 0
-        counts = {"a": 1, "b": 2, "c": 1}
+        counts = {0: 1, 1: 2, 2: 1}
         gini_value, entropy_value = est.metrics()
         assert gini_value == GiniState.from_counts(counts).value
         assert entropy_value == pytest.approx(EntropyState.from_counts(counts).value, abs=1e-15)
 
 
 def same_state(batched, folded):
-    """Window, counts, power sums, refresh counter and metric bits all equal."""
+    """Window, counts, power sums, refresh counter and metric bits all equal.
+
+    A window rebuilt from state() holds a count, maybe 0, for every label of
+    the table, so the counts are compared padded with zeros to one length."""
     assert list(batched.window) == list(folded.window)
-    assert batched.counts == folded.counts
+    width = max(len(batched.counts), len(folded.counts))
+    assert batched.counts + [0] * (width - len(batched.counts)) == folded.counts + [0] * (width - len(folded.counts))
     assert (batched.s2, batched.t) == (folded.s2, folded.t)
     assert batched.events_since_refresh == folded.events_since_refresh
     assert [bits(v) for v in batched.metrics()] == [bits(v) for v in folded.metrics()]
@@ -260,7 +306,7 @@ class TestObserveMany:
 
     @pytest.mark.parametrize("rebuilt", [False, True])
     def test_grows_steps_from_an_emptied_table(self, monkeypatch, rebuilt):
-        """A new process starts with a one-entry step table; one batch must
+        """A new process starts with an empty step table; one batch must
         grow it as counts rise, on a new window and on one loaded from a
         state, which grows it only to the counts the state holds."""
         from impurity_stream import window as window_module
@@ -269,7 +315,7 @@ class TestObserveMany:
         batch = [0] * 40 + [3, 0, 3] * 5
         folded = feed(SlidingWindowEstimator(17, refresh_period=11), head + batch)
         state = feed(SlidingWindowEstimator(17, refresh_period=11), head).state()
-        monkeypatch.setattr(window_module, "_STEP", [0])
+        monkeypatch.setattr(window_module, "_STEP", [])
         if rebuilt:
             batched = SlidingWindowEstimator.from_state(state, len(head), 4)
             batched.observe_many(batch)
@@ -277,5 +323,39 @@ class TestObserveMany:
             batched = SlidingWindowEstimator(17, refresh_period=11)
             batched.observe_many(head + batch)
         same_state(batched, folded)
-        assert batched.s2 == sum(c * c for c in batched.counts.values())
-        assert batched.t == sum(scaled_plog2(c) for c in batched.counts.values())
+        assert batched.s2 == sum(c * c for c in batched.counts)
+        assert batched.t == sum(scaled_plog2(c) for c in batched.counts)
+
+
+class TestPackedSums:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("capacity", [1, 2, 7, 1000, 10**20])
+    def test_sums_follow_the_definition(self, capacity, seed):
+        """Over Zipf streams cut into blocks shorter and longer than the
+        capacity, after every call sums == t·2**128 + s2 with s2 == sum c**2
+        and t == sum P(c) over the last ``capacity`` labels; observe_many
+        leaves the state that folding observe() leaves; and a window resumed
+        through state() continues bit for bit."""
+        rng = random.Random(seed * 1_000_003 + capacity % 1_000_003)
+        classes = 50
+        labels = zipf_stream(rng, classes, 6000)
+        sizes = [1, 2, 3, 17, 256, 700, 2500]
+        sizes += [capacity + d for d in (-1, 0, 1, capacity + 1) if 0 < capacity + d <= 3000]
+        batched = SlidingWindowEstimator(capacity)
+        folded = SlidingWindowEstimator(capacity)
+        recent = deque(maxlen=min(capacity, sys.maxsize))
+        events = 0
+        for piece in random_pieces(rng, labels, sizes):
+            batched.observe_many(piece)
+            feed(folded, piece)
+            recent.extend(piece)
+            events += len(piece)
+            tally = Counter(recent).values()
+            s2 = sum(c * c for c in tally)
+            t = sum(scaled_plog2(c) for c in tally)
+            assert (batched.s2, batched.t) == (s2, t)
+            assert batched.sums == t * 2**128 + s2
+            same_state(batched, folded)
+            if rng.random() < 0.1:
+                batched = SlidingWindowEstimator.from_state(batched.state(), events, classes)
+                same_state(batched, folded)
