@@ -55,15 +55,17 @@ class FadingEstimator:
     def observe(self, label: Label) -> None:
         """Fold one labeled event into both faded metrics, with the
         operations of observe_block's loop in their order."""
+        if label < 0:
+            raise ValueError(f"class id {label} is negative")
         counts = self.counts
-        if label >= len(counts):
+        try:
+            c = counts[label]
+        except IndexError:
             grow = [0.0] * (label + 1 - len(counts))
             counts += grow
             self.plogs += grow
-        elif label < 0:
-            raise ValueError(f"class id {label} is negative")
+            c = 0.0
         n = self.n
-        c = counts[label]
         c_next = c + 1.0
         n_next = n + 1.0
         plog_c_next = c_next * log2(c_next)
@@ -83,14 +85,8 @@ class FadingEstimator:
         """
         counts = self.counts
         plogs = self.plogs
-        if labels:
-            if min(labels) < 0:
-                raise ValueError(f"class id {min(labels)} is negative")
-            top = max(labels)
-            if top >= len(counts):
-                grow = [0.0] * (top + 1 - len(counts))
-                counts += grow
-                plogs += grow
+        if labels and min(labels) < 0:
+            raise ValueError(f"class id {min(labels)} is negative")
         alpha = self.alpha
         n = self.n
         plog_n = self.plog_n
@@ -99,7 +95,13 @@ class FadingEstimator:
         due = every - seen % every  # events up to and including the next row's
         rows: List[float] = []
         for index, label in enumerate(labels, seen):
-            c = counts[label]
+            try:
+                c = counts[label]
+            except IndexError:
+                grow = [0.0] * (label + 1 - len(counts))
+                counts += grow
+                plogs += grow
+                c = 0.0
             c_next = c + 1.0
             n_next = n + 1.0
             plog_c_next = c_next * log2(c_next)

@@ -30,8 +30,9 @@ def _scaled_plog2(count: int) -> int:
 # _STEP[c] is what a count moving from c to c + 1 adds to the packed sums:
 # (_scaled_plog2(c + 1) - _scaled_plog2(c)) << _SHIFT in t's bits and
 # 2c + 1 in s2's. Shared by every window, it grows on demand up to the
-# largest count any window has reached, not to the capacity: a large window
-# of many small classes keeps it short.
+# largest count any window has reached, with a block's ids counted in before
+# its evicted ids leave, not to the capacity: a large window of many small
+# classes keeps it short.
 _STEP: List[int] = []
 
 
@@ -101,12 +102,10 @@ class SlidingWindowEstimator:
 
     def observe(self, label: Label) -> None:
         """Slide the window forward by one labeled event."""
+        if label < 0:
+            raise ValueError(f"class id {label} is negative")
         window = self.window
         counts = self.counts
-        if label >= len(counts):
-            counts += [0] * (label + 1 - len(counts))
-        elif label < 0:
-            raise ValueError(f"class id {label} is negative")
         sums = self.sums
         if len(window) >= self.capacity:
             # The oldest label leaves; its count drops to ``after``.
@@ -115,7 +114,11 @@ class SlidingWindowEstimator:
             counts[oldest] = after
             sums -= _STEP[after]
         # The new label enters; its count rises from ``before``.
-        before = counts[label]
+        try:
+            before = counts[label]
+        except IndexError:
+            counts += [0] * (label + 1 - len(counts))
+            before = 0
         counts[label] = before + 1
         window.append(label)
         try:
@@ -136,43 +139,34 @@ class SlidingWindowEstimator:
         """
         if not labels:
             return
-        counts = self.counts
         if min(labels) < 0:
             raise ValueError(f"class id {min(labels)} is negative")
-        top = max(labels)
-        if top >= len(counts):
-            counts += [0] * (top + 1 - len(counts))
-        window = self.window
+        counts = self.counts
         step = _STEP
         sums = self.sums
-        # Until the window is full, labels only enter.
-        fill = self.capacity - len(window)
-        arriving = labels
-        if fill > 0:
-            head = labels[:fill]
-            for label in head:
+        # The sums depend on the final counts alone, so every id of the block
+        # enters before the evicted ones leave, and no count drops below 0.
+        for label in labels:
+            try:
                 before = counts[label]
-                counts[label] = before + 1
-                try:
-                    sums += step[before]
-                except IndexError:
-                    sums += _grow_steps(before)[before]
-            window.extend(head)
-            arriving = labels[fill:]
-        if arriving:
-            # The i-th arriving label evicts the i-th of the window's labels
-            # followed by the arriving ones, the oldest first.
-            evicted = list(islice(chain(window, arriving), len(arriving)))
-            window.extend(arriving)
-            for oldest, label in zip(evicted, arriving):
+            except IndexError:
+                counts += [0] * (label + 1 - len(counts))
+                before = 0
+            counts[label] = before + 1
+            try:
+                sums += step[before]
+            except IndexError:
+                sums += _grow_steps(before)[before]
+        # The ids that leave are the oldest of the window followed by the
+        # block's own, as many as the block overfills the window by.
+        window = self.window
+        leaving = len(window) + len(labels) - self.capacity
+        if leaving > 0:
+            for oldest in islice(chain(window, labels), leaving):
                 after = counts[oldest] - 1
                 counts[oldest] = after
-                before = counts[label]
-                counts[label] = before + 1
-                try:
-                    sums += step[before] - step[after]
-                except IndexError:
-                    sums += _grow_steps(before)[before] - step[after]
+                sums -= step[after]
+        window.extend(labels)
         self.sums = sums
         since = self.events_since_refresh + len(labels)
         period = self.refresh_period
