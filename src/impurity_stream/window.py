@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter, deque
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from math import ldexp, log2
 from typing import Deque, Dict, List, Mapping, Sequence, Tuple
 
@@ -247,8 +247,11 @@ class SlidingWindowEstimator:
         if max(window, default=-1) >= n_labels:
             raise ValueError("class id outside the label table")
         estimator.window.extend(window)
-        estimator.counts = list(map(Counter(window).get, range(n_labels), repeat(0)))
-        _grow_steps(max(estimator.counts, default=0))
+        # Indexing a list costs less per id than hashing it into a Counter.
+        counts = estimator.counts = [0] * n_labels
+        for class_id in window:
+            counts[class_id] += 1
+        _grow_steps(max(counts, default=0))
         estimator.refresh()
         estimator.events_since_refresh = since
         return estimator
