@@ -17,6 +17,7 @@ Empty samples (S = 0) have both metrics defined as 0, and terms of the form
 from __future__ import annotations
 
 import math
+from itertools import count
 from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 __all__ = [
@@ -108,8 +109,14 @@ class Interner:
     __slots__ = ("_ids", "_labels")
 
     def __init__(self, labels: Iterable[str] = ()) -> None:
-        self._labels: list[str] = list(dict.fromkeys(labels))
-        self._ids: Dict[str, int] = {label: i for i, label in enumerate(self._labels)}
+        # One pass: zip() draws from ``labels`` before ``numbers``, so
+        # ``numbers`` then yields how many labels there were. Fewer keys
+        # means a label repeated, and the ids are dealt again in key order.
+        numbers = count()
+        self._ids: Dict[str, int] = dict(zip(labels, numbers))
+        self._labels: list[str] = list(self._ids)
+        if next(numbers) != len(self._labels):
+            self._ids = dict(zip(self._labels, count()))
 
     def intern(self, label: str) -> int:
         """Return the id for a label, allocating the next dense id if new."""
@@ -150,7 +157,9 @@ def state_fields(state: Mapping[str, object], **kinds: type) -> List[object]:
 
     ``kinds`` maps each field name to int, float or list. The names must
     match exactly. An int, and every element of a list, must be an int >= 0;
-    a float must be finite. Raises ValueError otherwise.
+    a float must be finite. A list field also takes an unsigned ``array``,
+    as a snapshot loads it, whose items need no check. Raises ValueError
+    otherwise.
     """
     extra = sorted(state.keys() - kinds.keys())
     missing = [name for name in kinds if name not in state]
@@ -159,6 +168,9 @@ def state_fields(state: Mapping[str, object], **kinds: type) -> List[object]:
     values = []
     for name, kind in kinds.items():
         value = state[name]
+        if kind is list and _is_unsigned_array(value):
+            values.append(value)
+            continue
         if type(value) is not kind:
             raise ValueError(f"{name} must be of type {kind.__name__}")
         if kind is float:
@@ -173,9 +185,18 @@ def state_fields(state: Mapping[str, object], **kinds: type) -> List[object]:
     return values
 
 
-def check_counts(by_id: List[int], events: int, n_labels: int) -> None:
+def _is_unsigned_array(value: object) -> bool:
+    """Whether ``value`` is an ``array`` of an unsigned typecode, whose items
+    are ints >= 0. Only a loaded state holds one, so ``array`` is imported
+    here, not by every run (see ``snapshot._array``)."""
+    from array import array
+
+    return type(value) is array and value.typecode in "BHILQ"
+
+
+def check_counts(by_id: Sequence[int], events: int, n_labels: int) -> None:
     """ValueError unless ``events`` events over ``n_labels`` labels can give
-    the class counts ``by_id``, a list indexed by interned class id."""
+    the class counts ``by_id``, a list or array indexed by interned class id."""
     if len(by_id) > n_labels:
         raise ValueError(f"{len(by_id)} counts for {n_labels} labels")
     total = sum(by_id)

@@ -36,8 +36,9 @@ class FadingEstimator:
 
     A label is an interned class id: an int from 0 to the number of labels
     interned less one. ``counts`` and ``plogs`` are lists indexed by id that
-    grow to the largest id observed. A negative id raises ValueError and a
-    str TypeError. Memory is O(ids), independent of stream length.
+    grow to the largest id observed. A negative id raises ValueError, and an
+    id that is no int, such as a str or a float, TypeError; either leaves the
+    state as it was. Memory is O(ids), independent of stream length.
     Single-writer; not safe for concurrent mutation.
     """
 
@@ -93,33 +94,44 @@ class FadingEstimator:
         d = self.d
         u = self.u
         due = every - seen % every  # events up to and including the next row's
+        known = len(counts)
         rows: List[float] = []
-        for index, label in enumerate(labels, seen):
-            try:
-                c = counts[label]
-            except IndexError:
-                grow = [0.0] * (label + 1 - len(counts))
-                counts += grow
-                plogs += grow
-                c = 0.0
-            c_next = c + 1.0
-            n_next = n + 1.0
-            plog_c_next = c_next * log2(c_next)
-            plog_n_next = n_next * log2(n_next)
-            d = alpha * d + 2.0 * (n - c)
-            u = alpha * u + (plog_n_next - plog_n) - (plog_c_next - plogs[label])
-            counts[label] = c_next
-            plogs[label] = plog_c_next
-            n = n_next
-            plog_n = plog_n_next
-            due -= 1
-            if not due:
-                due = every
-                gini = d / (n * n)
-                entropy = u / n
-                rows.append(index)
-                rows.append(gini if 0.0 < gini < 1.0 else (1.0 if gini >= 1.0 else 0.0))
-                rows.append(entropy if entropy > 0.0 else 0.0)
+        try:
+            for index, label in enumerate(labels, seen):
+                try:
+                    c = counts[label]
+                except IndexError:
+                    grow = [0.0] * (label + 1 - len(counts))
+                    counts += grow
+                    plogs += grow
+                    c = 0.0
+                c_next = c + 1.0
+                n_next = n + 1.0
+                plog_c_next = c_next * log2(c_next)
+                plog_n_next = n_next * log2(n_next)
+                d = alpha * d + 2.0 * (n - c)
+                u = alpha * u + (plog_n_next - plog_n) - (plog_c_next - plogs[label])
+                counts[label] = c_next
+                plogs[label] = plog_c_next
+                n = n_next
+                plog_n = plog_n_next
+                due -= 1
+                if not due:
+                    due = every
+                    gini = d / (n * n)
+                    entropy = u / n
+                    rows.append(index)
+                    rows.append(gini if 0.0 < gini < 1.0 else (1.0 if gini >= 1.0 else 0.0))
+                    rows.append(entropy if entropy > 0.0 else 0.0)
+        except TypeError:
+            # An id that is no int: take back the counts, and the c·log2(c)
+            # as from_state computes it, of the ids before it.
+            for label in labels[: index - seen]:
+                c = counts[label] - 1.0
+                counts[label] = c
+                plogs[label] = c * log2(c) if c else 0.0
+            del counts[known:], plogs[known:]
+            raise
         self.n = n
         self.plog_n = plog_n
         self.d = d

@@ -1,25 +1,30 @@
 """Versioned text snapshots of a run's state.
 
 A snapshot holds what a run needs to resume with a trace byte-identical to
-an uninterrupted one. Version 4 stores nothing that can be derived:
+an uninterrupted one. Version 5 stores nothing that can be derived:
 
-    impurity-stream-snapshot 4 MODE
+    impurity-stream-snapshot 5 MODE
     events N          events the run has consumed
     labels [...]      the label table, a JSON array in id order
     FIELD VALUE       one line per field of the estimator's state()
 
-An int is written in decimal, a float as a hex literal (so it round-trips
-bit-exactly) and a list of ints as a JSON array. The fields per mode:
+An int is written in decimal and a float as a hex literal, so it
+round-trips bit-exactly. A list of ints is written as uW:HEX, the hex of
+its items as unsigned little-endian ints of W bits, where W is 8, 16, 32 or
+64, the fewest that hold the largest item: ``window u16:0d36…``. The fields
+per mode:
 
     window  capacity, refresh_period, events_since_refresh and window
-            (the ids in the window, oldest first)
-    fading  alpha, d (n²·G), u (n·H), counts (one per label, in id order)
-    exact   counts (one per label, in id order)
+            (the ids in the window, oldest first, as uW:HEX)
+    fading  alpha, d (n²·G), u (n·H), counts (one per label, in id order,
+            as uW:HEX)
+    exact   counts (one per label, in id order, as uW:HEX)
 
 The window's counts and its exact power sums follow from its ids; the
-fading n, n·log2(n) and each c·log2(c) follow from its counts. Each
-estimator's from_state() rejects a state that no run reaches; that, and any
-malformed line, ends in SnapshotError.
+fading n, n·log2(n) and each c·log2(c) follow from its counts. A uW:HEX
+field loads as an unsigned ``array``. Each estimator's from_state() rejects
+a state that no run reaches; that, and any malformed line, ends in
+SnapshotError.
 
 save_snapshot and --save-state write via replacing(): temp file, then rename.
 """
@@ -29,16 +34,21 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from typing import Iterator, NamedTuple, TextIO, Union
+import sys
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
 from .core import ExactEstimator, Interner
 from .fading import FadingEstimator
 from .window import SlidingWindowEstimator
 
+if TYPE_CHECKING:
+    from array import array
+
 __all__ = ["ESTIMATORS", "SnapshotError", "LoadedSnapshot", "replacing", "save_snapshot", "write_snapshot", "load_snapshot"]
 
 _MAGIC = "impurity-stream-snapshot"
-_VERSION = 4
+_VERSION = 5
+_SWAP = sys.byteorder == "big"
 # The estimator of each run mode, by the mode's name.
 ESTIMATORS = {
     "window": SlidingWindowEstimator,
@@ -109,17 +119,17 @@ def write_snapshot(
         raise SnapshotError(f"unknown mode {mode!r}")
     if not isinstance(estimator, kind):
         raise SnapshotError(f"mode {mode!r} requires a {kind.__name__}")
-    lines = [
-        f"{_MAGIC} {_VERSION} {mode}",
-        f"events {events_seen}",
-        "labels " + json.dumps(interner.labels, ensure_ascii=False, separators=(",", ":")),
-    ]
     try:
-        for key, value in estimator.state().items():
-            lines.append(f"{key} {_encode(value)}")
-    except (TypeError, IndexError):
+        fields = [(key, _encode(value)) for key, value in estimator.state().items()]
+    except (TypeError, IndexError, OverflowError):
         raise SnapshotError("snapshots require interned integer class ids") from None
-    out.write("\n".join(lines) + "\n")
+    # Each long value is written as it is, not copied into one string first.
+    out.write(f"{_MAGIC} {_VERSION} {mode}\nevents {events_seen}\nlabels ")
+    out.write(json.dumps(interner.labels, ensure_ascii=False, separators=(",", ":")))
+    for key, text in fields:
+        out.write(f"\n{key} ")
+        out.write(text)
+    out.write("\n")
 
 
 def load_snapshot(path: str | os.PathLike[str]) -> LoadedSnapshot:
@@ -150,11 +160,12 @@ def load_snapshot(path: str | os.PathLike[str]) -> LoadedSnapshot:
         if key in fields:
             raise SnapshotError(f"line {number}: repeated field {key!r}")
         try:
-            fields[key] = _decode(raw)
+            fields[key] = json.loads(raw) if key == "labels" else _decode(raw)
+        except SnapshotError as exc:
+            raise SnapshotError(f"line {number}: {key!r} {exc}") from None
         except (ValueError, RecursionError):
-            raise SnapshotError(
-                f"line {number}: {key!r} holds no int, hex float or JSON array"
-            ) from None
+            kinds = "JSON array" if key == "labels" else "int, hex float or uW:HEX list"
+            raise SnapshotError(f"line {number}: {key!r} holds no {kinds}") from None
     events = fields.pop("events", None)
     if type(events) is not int or events < 0:
         raise SnapshotError("bad snapshot: events must be an int >= 0")
@@ -175,15 +186,61 @@ def _encode(value: object) -> str:
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, list):
-        # int.__repr__ raises TypeError on anything but an int.
-        return "[" + ",".join(map(int.__repr__, value)) + "]"
+        top = max(value, default=0)
+        tag = "u8" if top < 1 << 8 else "u16" if top < 1 << 16 else "u32" if top < 1 << 32 else "u64"
+        # array() raises TypeError on anything but an int, and OverflowError
+        # on one below 0 or of 2**64 or more.
+        items = _array(tag, value)
+        if _SWAP:
+            items.byteswap()
+        return f"{tag}:{memoryview(items).hex()}"
     return int.__repr__(value)
 
 
 def _decode(raw: str) -> object:
-    if raw.startswith("["):
-        return json.loads(raw)
+    tag, colon, digits = raw.partition(":")
+    if colon:
+        return _decode_ints(tag, digits)
     try:
         return int(raw)
     except ValueError:
         return float.fromhex(raw)
+
+
+def _array(tag: str, values: Iterable[int] = ()) -> Optional[array]:
+    """An unsigned array of ``values``, its items as wide as the tag u8, u16,
+    u32 or u64 says, or None for another tag. The sizes of "I" and "L"
+    differ between platforms, so a file names the width, not the typecode.
+
+    ``array`` is imported here, not at module level: a run that saves and
+    loads no state never loads the extension module, which costs about
+    0.1 MiB of peak RSS.
+    """
+    from array import array
+
+    for code in "BHILQ":
+        if tag == f"u{8 * array(code).itemsize}":
+            return array(code, values)
+    return None
+
+
+def _decode_ints(tag: str, digits: str) -> array:
+    """The unsigned array that a uW:HEX field holds. SnapshotError, whose
+    message completes "line N: 'FIELD' …", unless the width is known and
+    the digits are hex digits alone that make whole items."""
+    items = _array(tag)
+    if items is None:
+        raise SnapshotError(f"holds an unknown width {tag!r}")
+    if len(digits) % (2 * items.itemsize):
+        raise SnapshotError(f"holds {len(digits)} hex digits, no whole number of {tag} items")
+    try:
+        data = bytes.fromhex(digits)
+    except ValueError:
+        raise SnapshotError("holds a character that is no hex digit") from None
+    # bytes.fromhex skips whitespace between bytes.
+    if 2 * len(data) != len(digits):
+        raise SnapshotError("holds whitespace among its hex digits")
+    items.frombytes(data)
+    if _SWAP:
+        items.byteswap()
+    return items

@@ -52,7 +52,9 @@ class SlidingWindowEstimator:
     A label is an interned class id: an int from 0 to the number of labels
     interned less one. ``counts`` is a list indexed by id that grows to the
     largest id observed; a count that falls to 0 stays in it. A negative id
-    raises ValueError and a str TypeError. Memory is O(capacity + ids).
+    raises ValueError, and an id that is no int, such as a str or a float,
+    TypeError; observe() and observe_many() then leave the state as it was.
+    Memory is O(capacity + ids).
 
     A full window evicts its oldest label before inserting the new one, so
     occupancy never exceeds the capacity.
@@ -104,8 +106,15 @@ class SlidingWindowEstimator:
         """Slide the window forward by one labeled event."""
         if label < 0:
             raise ValueError(f"class id {label} is negative")
-        window = self.window
         counts = self.counts
+        # The new label's count is read first: an id that is no int raises
+        # TypeError here, before the window changes.
+        try:
+            before = counts[label]
+        except IndexError:
+            counts += [0] * (label + 1 - len(counts))
+            before = 0
+        window = self.window
         sums = self.sums
         if len(window) >= self.capacity:
             # The oldest label leaves; its count drops to ``after``.
@@ -113,12 +122,9 @@ class SlidingWindowEstimator:
             after = counts[oldest] - 1
             counts[oldest] = after
             sums -= _STEP[after]
+            if oldest == label:
+                before = after
         # The new label enters; its count rises from ``before``.
-        try:
-            before = counts[label]
-        except IndexError:
-            counts += [0] * (label + 1 - len(counts))
-            before = 0
         counts[label] = before + 1
         window.append(label)
         try:
@@ -142,21 +148,32 @@ class SlidingWindowEstimator:
         if min(labels) < 0:
             raise ValueError(f"class id {min(labels)} is negative")
         counts = self.counts
+        known = len(counts)
         step = _STEP
         sums = self.sums
         # The sums depend on the final counts alone, so every id of the block
         # enters before the evicted ones leave, and no count drops below 0.
-        for label in labels:
-            try:
-                before = counts[label]
-            except IndexError:
-                counts += [0] * (label + 1 - len(counts))
-                before = 0
-            counts[label] = before + 1
-            try:
-                sums += step[before]
-            except IndexError:
-                sums += _grow_steps(before)[before]
+        try:
+            for label in labels:
+                try:
+                    before = counts[label]
+                except IndexError:
+                    counts += [0] * (label + 1 - len(counts))
+                    before = 0
+                counts[label] = before + 1
+                try:
+                    sums += step[before]
+                except IndexError:
+                    sums += _grow_steps(before)[before]
+        except TypeError:
+            # An id that is no int: take back the counts of the ids before it.
+            for label in labels:
+                try:
+                    counts[label] -= 1
+                except TypeError:
+                    break
+            del counts[known:]
+            raise
         # The ids that leave are the oldest of the window followed by the
         # block's own, as many as the block overfills the window by.
         window = self.window
@@ -201,10 +218,14 @@ class SlidingWindowEstimator:
         return rows
 
     def refresh(self) -> None:
-        """Rebuild ``sums`` from the window's class counts."""
+        """Rebuild ``sums`` from the window's class counts, and grow the step
+        table to the largest count, which a window loaded from a state needs
+        before its first eviction."""
         # Many classes share a count, so sum over the distinct counts; a
         # count of 0 adds nothing.
-        self.sums = sum(((_scaled_plog2(c) << _SHIFT) + c * c) * k for c, k in Counter(self.counts).items())
+        tally = Counter(self.counts)
+        self.sums = sum(((_scaled_plog2(c) << _SHIFT) + c * c) * k for c, k in tally.items())
+        _grow_steps(max(tally, default=0))
         self.events_since_refresh = 0
 
     def metrics(self) -> Tuple[float, float]:
@@ -244,14 +265,18 @@ class SlidingWindowEstimator:
                 f"{len(window)} events in the window exceed its capacity {capacity} "
                 f"or the {events} events seen"
             )
-        if max(window, default=-1) >= n_labels:
-            raise ValueError("class id outside the label table")
-        estimator.window.extend(window)
+        # The window holds one int object per class, as a run's interned ids
+        # do, not one per event. An id at or past n_labels raises IndexError,
+        # so no max() pass is needed; state_fields has seen none below 0.
+        ids = list(range(n_labels))
+        try:
+            estimator.window.extend(map(ids.__getitem__, window))
+        except IndexError:
+            raise ValueError("class id outside the label table") from None
         # Indexing a list costs less per id than hashing it into a Counter.
         counts = estimator.counts = [0] * n_labels
-        for class_id in window:
+        for class_id in estimator.window:
             counts[class_id] += 1
-        _grow_steps(max(counts, default=0))
         estimator.refresh()
         estimator.events_since_refresh = since
         return estimator

@@ -1,4 +1,5 @@
-"""Shared test helpers: bit-level float comparison and randomized op walks."""
+"""Shared test helpers: bit-level float comparison, snapshot int fields and
+randomized op walks."""
 
 from __future__ import annotations
 
@@ -12,6 +13,12 @@ from impurity_stream import EntropyState, GiniState
 def bits(x: float) -> bytes:
     """Raw IEEE-754 bytes, for bit-for-bit equality assertions."""
     return struct.pack("<d", x)
+
+
+def hex_ints(width: int, values) -> str:
+    """A snapshot's list of ints as version 5 writes it: ``uW:`` and the hex
+    of each value as an unsigned little-endian int of ``width`` bits."""
+    return f"u{width}:" + b"".join(v.to_bytes(width // 8, "little") for v in values).hex()
 
 
 def random_impurity_walk(

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import hex_ints
 from impurity_stream import ExactEstimator, FadingEstimator, Interner, SlidingWindowEstimator
 from impurity_stream.cli import (
     EXIT_INPUT,
@@ -450,21 +451,26 @@ class TestTraceEquivalence:
                 assert abs(ha - hb) <= 1e-9
 
 
+# The int-list lines that a state saved after "a b a" holds.
+_WINDOW_ABA = "window " + hex_ints(8, [0, 1, 0])
+_COUNTS_ABA = "counts " + hex_ints(8, [2, 1])
+
+
 def _window_id_beyond_labels(lines):
     # window [0, 1, 0] -> [0, 7, 0]: id 7 names no label.
-    lines[lines.index("window [0,1,0]")] = "window [0,7,0]"
+    lines[lines.index(_WINDOW_ABA)] = "window " + hex_ints(8, [0, 7, 0])
 
 
 def _fading_beyond_exact_counts(lines):
     # 2**53 + 1 events, which the counts sum to, but a float does not hold.
     lines[lines.index("events 3")] = "events 9007199254740993"
-    lines[lines.index("counts [2,1]")] = "counts [9007199254740992,1]"
+    lines[lines.index(_COUNTS_ABA)] = "counts " + hex_ints(64, [2**53, 1])
 
 
 def _window_beyond_capacity(lines):
     # Four events in a window of 3, with the event count to match.
     lines[lines.index("events 3")] = "events 4"
-    lines[lines.index("window [0,1,0]")] = "window [0,1,0,1]"
+    lines[lines.index(_WINDOW_ABA)] = "window " + hex_ints(8, [0, 1, 0, 1])
 
 
 def _replace_line(old, new):
@@ -494,15 +500,18 @@ def _replace_field(key, value):
 _TAMPERED_SNAPSHOTS = [
     pytest.param(
         ["fading", "--alpha", "0.9"],
-        _replace_line("counts [2,1]", "counts [2,0,0,0,0,0,0,1]"),
+        _replace_line(_COUNTS_ABA, "counts " + hex_ints(8, [2, 0, 0, 0, 0, 0, 0, 1])),
         id="fading-id-beyond-labels",
     ),
     pytest.param(
         ["exact"],
-        _replace_line("counts [2,1]", "counts [2,0,0,0,0,0,0,1]"),
+        _replace_line(_COUNTS_ABA, "counts " + hex_ints(8, [2, 0, 0, 0, 0, 0, 0, 1])),
         id="exact-id-beyond-labels",
     ),
-    pytest.param(["exact"], _replace_line("counts [2,1]", "counts [-1,4]"), id="exact-negative-mass"),
+    # No width holds a negative mass: written as the signed list [-1, 4],
+    # the field is malformed, and as the byte 0xff, -1 reads 255.
+    pytest.param(["exact"], _replace_line(_COUNTS_ABA, "counts [-1,4]"), id="exact-negative-mass"),
+    pytest.param(["exact"], _replace_line(_COUNTS_ABA, "counts u8:ff04"), id="exact-negative-mass-as-byte"),
     pytest.param(
         ["window", "--window-size", "3"],
         _replace_line("events 3", "events -5"),
@@ -592,7 +601,7 @@ class TestStatePersistence:
 
     def test_load_non_utf8_state(self, cli, tmp_path):
         state = tmp_path / "state.snap"
-        state.write_bytes(b'impurity-stream-snapshot 4 exact\nevents 1\nlabels ["\xff"]\ncounts [1]\n')
+        state.write_bytes(b'impurity-stream-snapshot 5 exact\nevents 1\nlabels ["\xff"]\ncounts u8:01\n')
         code, rows, err = cli(["run", "--mode", "exact", "--load-state", str(state)], input_lines=["a"])
         assert code == EXIT_INPUT
         assert rows == []
@@ -612,7 +621,7 @@ class TestStatePersistence:
         )
         assert code == EXIT_OK
         lines = state.read_text(encoding="utf-8").splitlines()
-        assert "window [0,1,0]" in lines
+        assert _WINDOW_ABA in lines
         tamper(lines)
         state.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -683,6 +692,32 @@ class TestStatePersistence:
         assert rows == []
         assert err == "impurity-stream: error: unsupported snapshot version '3'\n"
 
+    @pytest.mark.parametrize(
+        "mode,text",
+        [
+            # What version 4 saved after "a b a": int lists were JSON arrays.
+            ("exact", 'impurity-stream-snapshot 4 exact\nevents 3\nlabels ["a","b"]\ncounts [2,1]\n'),
+            (
+                "window",
+                'impurity-stream-snapshot 4 window\nevents 3\nlabels ["a","b"]\ncapacity 3\n'
+                "refresh_period 0\nevents_since_refresh 3\nwindow [0,1,0]\n",
+            ),
+        ],
+        ids=["exact", "window"],
+    )
+    def test_version_4_state_rejected(self, cli, tmp_path, mode, text):
+        state = tmp_path / "state.snap"
+        state.write_text(text, encoding="utf-8")
+        code, rows, err = cli(["run", "--mode", mode, "--load-state", str(state)], input_lines=["a"])
+        assert code == EXIT_INPUT
+        assert rows == []
+        assert err == "impurity-stream: error: unsupported snapshot version '4'\n"
+        # Under version 5, the same lines are malformed.
+        state.write_text(text.replace("snapshot 4", "snapshot 5", 1), encoding="utf-8")
+        code, rows, err = cli(["run", "--mode", mode, "--load-state", str(state)], input_lines=["a"])
+        assert (code, rows) == (EXIT_INPUT, [])
+        assert err.startswith("impurity-stream: error: line ") and err.count("\n") == 1
+
     def test_unwritable_save_path_fails_before_any_row(self, cli, tmp_path):
         target = tmp_path / "missing-dir" / "state.snap"
         code, rows, err = cli(
@@ -715,7 +750,7 @@ class TestStatePersistence:
         code, _, _ = cli(["run", "--mode", "exact", "--save-state", str(link)], input_lines=["a", "b"])
         assert code == EXIT_OK
         assert link.is_symlink() and os.readlink(link) == real.name
-        assert real.read_text(encoding="utf-8").startswith("impurity-stream-snapshot 4 exact\n")
+        assert real.read_text(encoding="utf-8").startswith("impurity-stream-snapshot 5 exact\n")
         assert sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".snap") == ["link.snap", "real.snap"]
 
     def test_output_naming_the_load_state_file_is_a_usage_error(self, cli, tmp_path):
@@ -741,7 +776,7 @@ class TestStatePersistence:
         )
         assert code == EXIT_OK
         assert [row.split("\t")[0] for row in rows] == ["2", "3"]
-        assert state.read_text(encoding="utf-8").startswith("impurity-stream-snapshot 4 exact\nevents 4\n")
+        assert state.read_text(encoding="utf-8").startswith("impurity-stream-snapshot 5 exact\nevents 4\n")
 
     def test_failed_run_leaves_no_temp_state(self, cli, tmp_path):
         state = tmp_path / "state.snap"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 
 import pytest
@@ -18,6 +19,7 @@ from impurity_stream import (
     rescale_entropy,
     sum_squares,
 )
+from impurity_stream.core import state_fields
 
 mass_values = st.one_of(
     st.integers(min_value=1, max_value=10**6).map(float),
@@ -168,6 +170,27 @@ class TestInterner:
 
     def test_repr_counts_labels(self):
         assert repr(Interner(["a", "b", "a"])) == "Interner(2 labels)"
+
+    @pytest.mark.parametrize("source", [list, iter], ids=["list", "iterator"])
+    def test_repeated_labels_get_dense_ids(self, source):
+        interner = Interner(source(["a", "b", "a", "c", "b"]))
+        assert interner.labels == ("a", "b", "c")
+        assert [interner.intern(label) for label in "abcd"] == [0, 1, 2, 3]
+
+
+class TestStateFields:
+    def test_unsigned_array_is_taken_for_a_list(self):
+        window = array("H", [3, 0, 65535])
+        assert state_fields({"n": 2, "window": window}, n=int, window=list) == [2, window]
+
+    @pytest.mark.parametrize(
+        "value",
+        [array("h", [1, 2]), array("d", [1.0]), [0, 1.0], [0, -1], (0, 1)],
+        ids=["signed-array", "float-array", "float-item", "negative-item", "tuple"],
+    )
+    def test_other_lists_are_checked(self, value):
+        with pytest.raises(ValueError, match="window must"):
+            state_fields({"window": value}, window=list)
 
 
 class TestExactEstimator:

@@ -82,6 +82,26 @@ class TestLabels:
             est.observe_block(["a", "b"], 2, 1)
         assert self.snapshot(est) == before
 
+    def test_float_id_changes_nothing(self):
+        """A float id raises TypeError before any change: in observe(), and in
+        mid-block in observe_block(), after ids that count in, grow the
+        counts and write a row. The estimator then goes on bit for bit as
+        one that never saw those calls."""
+        est = feed(FadingEstimator(0.9), [0, 1, 1])
+        before = [bits(v) if isinstance(v, float) else v for v in self.snapshot(est)]
+        with pytest.raises(TypeError):
+            est.observe(1.5)
+        with pytest.raises(TypeError):
+            est.observe_block([0, 1, 0, 6, 1.5, 2], 3, 2)
+        with pytest.raises(TypeError):
+            est.observe_block([1, 2.0], 3, 1)
+        assert [bits(v) if isinstance(v, float) else v for v in self.snapshot(est)] == before
+        assert [bits(v) for v in est.plogs] == [bits(v) for v in feed(FadingEstimator(0.9), [0, 1, 1]).plogs]
+        rows = est.observe_block([1, 3, 0], 3, 1)
+        reference = feed(FadingEstimator(0.9), [0, 1, 1])
+        assert [bits(v) for v in rows] == [bits(v) for v in reference.observe_block([1, 3, 0], 3, 1)]
+        assert (bits(est.d), bits(est.u), est.counts) == (bits(reference.d), bits(reference.u), reference.counts)
+
     def test_counts_grow_to_the_largest_id(self):
         est = FadingEstimator(0.9)
         est.observe_block([3, 1], 0, 1)

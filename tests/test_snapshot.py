@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import bits
+from conftest import bits, hex_ints
 from impurity_stream import (
     ExactEstimator,
     FadingEstimator,
@@ -138,6 +138,30 @@ class TestRoundTrips:
             restored.refresh()  # rebuilds both sums from their definition
             assert (restored.s2, restored.t) == sums
 
+    @pytest.mark.parametrize(
+        "top,width",
+        [(0, 8), (255, 8), (256, 16), (65535, 16), (65536, 32), (2**32 - 1, 32), (2**32, 64), (2**64 - 1, 64)],
+    )
+    def test_int_lists_take_the_fewest_bits_that_hold_them(self, tmp_path, top, width):
+        """An int list is written little-endian at the smallest width that
+        holds its largest item, and loads back as the same ints."""
+        est = ExactEstimator()
+        est.counts = {0: 1, 2: top}
+        path = tmp_path / "state.snap"
+        save_snapshot(path, "exact", est, Interner(["a", "b", "c"]), top + 1)
+        assert path.read_text().splitlines()[-1] == "counts " + hex_ints(width, [1, 0, top])
+        assert load_snapshot(path).estimator.counts == ({0: 1, 2: top} if top else {0: 1})
+
+    def test_window_ids_are_hex_in_window_order(self, tmp_path):
+        interner = Interner(f"label-{i}" for i in range(300))
+        est = SlidingWindowEstimator(4)
+        for class_id in [299, 3, 256, 299, 7]:
+            est.observe(class_id)
+        path = tmp_path / "state.snap"
+        save_snapshot(path, "window", est, interner, 5)
+        assert "window " + hex_ints(16, [3, 256, 299, 7]) in path.read_text().splitlines()
+        assert list(load_snapshot(path).estimator.window) == [3, 256, 299, 7]
+
     def test_unicode_and_awkward_labels(self, tmp_path):
         interner = Interner()
         est = ExactEstimator()
@@ -161,14 +185,14 @@ class TestErrors:
         est, interner, events = window_fixture(20)
         path = tmp_path / "state.snap"
         save_snapshot(path, "window", est, interner, events)
-        text = path.read_text().replace("snapshot 4 window", "snapshot 99 window", 1)
+        text = path.read_text().replace("snapshot 5 window", "snapshot 99 window", 1)
         path.write_text(text)
         with pytest.raises(SnapshotError, match="version"):
             load_snapshot(path)
 
     def test_unknown_mode_tag(self, tmp_path):
         path = tmp_path / "state.snap"
-        path.write_text("impurity-stream-snapshot 4 sideways\nevents 0\nlabels []\n")
+        path.write_text("impurity-stream-snapshot 5 sideways\nevents 0\nlabels []\n")
         with pytest.raises(SnapshotError, match="mode"):
             load_snapshot(path)
 
@@ -200,11 +224,50 @@ class TestErrors:
         # The counts follow from the window, so they can only be wrong by
         # holding more events than the capacity.
         assert load_snapshot(path).estimator.counts == est.counts
-        window_line = "window [" + ",".join(map(str, est.window)) + "]"
-        text = path.read_text().replace(window_line, window_line[:-1] + ",0]", 1)
+        window_line = "window " + hex_ints(8, est.window)
+        text = path.read_text().replace(window_line, window_line + "00", 1)
         assert text != path.read_text()
         path.write_text(text)
         with pytest.raises(SnapshotError, match="capacity"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "u8:0001000",  # an odd length
+            "u8:00010g",  # a non-hex digit
+            "u8:00 01",  # a space inside
+            "u8:00 01 ",  # spaces that keep the length even
+            "u8:00\t0100",  # a tab inside
+            "u12:000100",  # an unknown width
+            "U8:000100",
+            "i8:000100",
+            ":000100",
+            "u16:000100",  # three bytes: no whole number of items
+            "u64:0000000000000000000000",
+            "[0,1,0]",  # version 4's JSON array
+        ],
+    )
+    def test_malformed_hex_field(self, tmp_path, value):
+        est, interner, events = window_fixture(3)
+        path = tmp_path / "state.snap"
+        save_snapshot(path, "window", est, interner, events)
+        lines = path.read_text().splitlines()
+        assert lines[-1].startswith("window u8:") and len(lines[-1]) == len("window u8:000100")
+        path.write_text("\n".join(lines[:-1] + ["window " + value]) + "\n")
+        with pytest.raises(SnapshotError, match="line 7"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("past", [0, 1, 2**64 - 1], ids=["first-past-table", "next", "u64-max"])
+    def test_window_id_outside_label_table(self, tmp_path, past):
+        est, interner, events = window_fixture(3)
+        path = tmp_path / "state.snap"
+        save_snapshot(path, "window", est, interner, events)
+        lines = path.read_text().splitlines()
+        first = min(len(interner) + past, 2**64 - 1)
+        ids = hex_ints(8 if first < 256 else 64, [first, *est.window][:3])
+        path.write_text("\n".join(lines[:-1] + ["window " + ids]) + "\n")
+        with pytest.raises(SnapshotError, match="class id outside the label table"):
             load_snapshot(path)
 
     def test_repeated_label_rejected(self, tmp_path):
@@ -255,6 +318,14 @@ class TestErrors:
             save_snapshot(tmp_path / "s", "exact", est, Interner(), 1)
         assert list(tmp_path.iterdir()) == []
         self._check_failed_save_keeps_target(tmp_path, "exact", est, Interner(), 1, "interned")
+
+    @pytest.mark.parametrize("counts", [{0: 2**64}, {0: 1, 1: -1}], ids=["2**64", "negative"])
+    def test_int_outside_every_width_rejected_on_save(self, tmp_path, counts):
+        est = ExactEstimator()
+        est.counts = counts
+        with pytest.raises(SnapshotError, match="interned integer class ids"):
+            save_snapshot(tmp_path / "s", "exact", est, Interner(["a", "b"]), 1)
+        assert list(tmp_path.iterdir()) == []
 
     def test_save_over_a_fifo_is_refused(self, tmp_path):
         fifo = tmp_path / "p"

@@ -1,8 +1,9 @@
 """Tampered state files: each one is rejected cleanly or resumes to sane metrics.
 
 A small state is saved in each mode. Variants of it drop, duplicate or swap
-lines, replace each numeric token with an extreme or malformed value, or cut
-the file after each line. Every variant must either end in exit 2 with one
+lines, replace each numeric token with an extreme or malformed value, break
+or re-encode the hex of the int-list field, or cut the file after each line.
+Every variant must either end in exit 2 with one
 ``impurity-stream: error:`` line and no rows, or resume through 50 more labels
 with exit 0 and finite metrics (Gini in [0, 1], entropy >= 0), and then save
 a state that loads again. Each resume runs a second time with a row per 16
@@ -19,6 +20,7 @@ import re
 
 import pytest
 
+from conftest import hex_ints
 from impurity_stream.cli import EXIT_INPUT, EXIT_OK, main
 
 MODES = {
@@ -37,6 +39,8 @@ FIELDS = {
 # -0x1p-10 is a negative float, which no fading d (n²·G) can be.
 REPLACEMENTS = ["-1", "0", "1e308", "nan", "inf", "-0x0p+0", "-0x1p-10", "text", "100000000000000000000"]
 NUMBER = re.compile(r"-?0x[0-9a-f.]+p[-+]\d+|\d+")
+# An int-list field: its name, the width of its items in bits and their hex.
+HEX_FIELD = re.compile(r"(\w+) u(8|16|32|64):([0-9a-f]*)")
 
 
 def _run(argv):
@@ -78,6 +82,31 @@ def _variants(lines):
                 changed = list(lines)
                 changed[i] = lines[i][: match.start()] + value + lines[i][match.end() :]
                 yield f"line {i} {match.group()} -> {value}", changed
+        field = HEX_FIELD.fullmatch(lines[i])
+        if field:
+            for what, line in _hex_variants(*field.groups()):
+                yield f"line {i} {what}", lines[:i] + [line] + lines[i + 1 :]
+
+
+def _hex_variants(key, width, digits):
+    """Broken and re-encoded copies of the line ``key uWIDTH:DIGITS``."""
+    data, size = bytes.fromhex(digits), int(width) // 8
+    values = [int.from_bytes(data[at : at + size], "little") for at in range(0, len(data), size)]
+    assert hex_ints(int(width), values) == f"u{width}:{digits}"
+    head = f"{key} u{width}:"
+    yield "odd length", head + digits + "0"
+    yield "non-hex digit", head + digits[:-1] + "g"
+    yield "space inside", head + digits[:2] + " " + digits[2:]
+    yield "spaces inside, even length", head + digits[:2] + "  " + digits[2:]
+    yield "trailing spaces", head + digits + "  "
+    for tag in ("u12", "u0", "i8", "U8", "u", ""):
+        yield f"width {tag!r}", f"{key} {tag}:{digits}"
+    yield "a byte short of whole u16 items", f"{key} {hex_ints(16, values)[:-2]}"
+    yield "wider", f"{key} {hex_ints(64, values)}"
+    for value in (0, len(values) + 100, 2**16, 2**53 + 1, 2**64 - 1):
+        yield f"first item {value}", f"{key} {hex_ints(64, [value] + values[1:])}"
+    yield "one item more", f"{key} {hex_ints(8, values + [0])}"
+    yield "one item less", f"{key} {hex_ints(8, values[:-1])}"
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -93,6 +122,7 @@ def test_tampered_state_is_rejected_or_resumes_sanely(tmp_path, monkeypatch, mod
     assert code == EXIT_OK
     lines = state.read_text(encoding="utf-8").splitlines()
     assert [line.split(" ", 1)[0] for line in lines[1:]] == FIELDS[mode]
+    assert HEX_FIELD.fullmatch(lines[-1])
 
     count = 0
     for name, changed in _variants(lines):

@@ -139,6 +139,23 @@ class TestLabels:
             est.observe_many([0, "b"])
         assert self.snapshot(est) == before
 
+    def test_float_id_changes_nothing(self):
+        """A float id raises TypeError before any change: in observe() on a
+        full window, whose oldest id would leave first, and in mid-block in
+        observe_many(), after ids that count in and grow the counts. The
+        window then goes on as one that never saw those calls."""
+        est = feed(SlidingWindowEstimator(2), [0, 1])
+        before = self.snapshot(est)
+        with pytest.raises(TypeError):
+            est.observe(1.5)
+        with pytest.raises(TypeError):
+            est.observe_many([0, 1, 0, 5, 1.5, 1])
+        with pytest.raises(TypeError):
+            est.observe_many([1, 2.0])
+        assert self.snapshot(est) == before
+        est.observe_many([1, 3, 0])
+        same_state(est, feed(SlidingWindowEstimator(2), [0, 1, 1, 3, 0]))
+
     def test_counts_grow_to_the_largest_id(self):
         est = SlidingWindowEstimator(2)
         est.observe_many([3, 1])
