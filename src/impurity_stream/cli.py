@@ -23,15 +23,14 @@ import io
 import os
 import sys
 from itertools import chain
-from typing import BinaryIO, Iterable, Iterator, List, NamedTuple, Optional, TextIO, Union
+from typing import BinaryIO, Iterable, Iterator, List, NamedTuple, NoReturn, Optional, TextIO, Union
 
-from .bench import BENCH_MODES, DEFAULT_SEED, format_report, run_bench
 from .core import Interner
 from .fading import FadingEstimator
 from .snapshot import ESTIMATORS, Estimator, LoadedSnapshot, SnapshotError, load_snapshot, replacing, write_snapshot
 from .window import SlidingWindowEstimator
 
-__all__ = ["main", "run_stream", "RunConfig", "RunSummary"]
+__all__ = ["main", "console_main", "run_stream", "RunConfig", "RunSummary"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,6 +39,10 @@ EXIT_INPUT = 2
 MODES = tuple(ESTIMATORS)
 METRICS = ("gini", "entropy", "both")
 FORMATS = ("lines", "csv")
+# bench.BENCH_MODES and bench.DEFAULT_SEED, which the parser needs; bench
+# itself, with random, is imported only by the bench command.
+_BENCH_MODES = ("window", "fading", "recompute")
+_BENCH_SEED = 12345
 
 # The estimator flags of `run`: flag -> (its RunConfig field, the estimator
 # that takes it, the constructor parameter and attribute it sets, whether a
@@ -294,11 +297,11 @@ def _build_parser() -> _Parser:
     bench_p.add_argument("--classes", type=int, required=True)
     bench_p.add_argument("--events", type=int, required=True)
     bench_p.add_argument(
-        "--modes", nargs="+", choices=BENCH_MODES, default=list(BENCH_MODES)
+        "--modes", nargs="+", choices=_BENCH_MODES, default=list(_BENCH_MODES)
     )
     bench_p.add_argument("--window-size", type=int, default=1000)
     bench_p.add_argument("--alpha", type=float, default=0.99)
-    bench_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    bench_p.add_argument("--seed", type=int, default=_BENCH_SEED)
     bench_p.add_argument("--repeat", type=int, default=3)
     return parser
 
@@ -425,6 +428,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.events < 10_000:
         raise UsageError("--events must be >= 10000")
     out = _stdout()
+    from .bench import format_report, run_bench
+
     try:
         results = run_bench(
             args.classes,
@@ -462,3 +467,30 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INPUT
     except SystemExit as exc:  # argparse --help
         return exc.code if isinstance(exc.code, int) else EXIT_OK
+
+
+def console_main() -> NoReturn:
+    """The ``impurity-stream`` command: run main() on sys.argv and end the
+    process with its exit code.
+
+    Both standard streams are flushed, and the process ends with
+    ``os._exit``, which skips the interpreter's teardown and ``atexit``:
+    the teardown is a sizeable share of a short run's time. Every file a
+    run opens is closed before main() returns. If the flush fails after a
+    successful run, one error line is written and the exit code is 2; an
+    earlier failure keeps its code. Call main() to run the command in
+    process.
+    """
+    code = main()
+    # stdout first, so that its error line is flushed with stderr.
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:
+            continue
+        try:
+            stream.flush()
+        except OSError as exc:
+            if code == EXIT_OK:
+                code = EXIT_INPUT
+                with contextlib.suppress(OSError):
+                    _say("error", str(exc))
+    os._exit(code)

@@ -242,6 +242,9 @@ class ExactEstimator:
     def state(self) -> Dict[str, object]:
         """The fields that restore this estimator; see ``snapshot``."""
         counts = self.counts
+        # A negative id would index the list from its end.
+        if min(counts, default=0) < 0:
+            raise IndexError("class id below 0")
         by_id = [0] * (max(counts, default=-1) + 1)
         for class_id, count in counts.items():
             by_id[class_id] = count

@@ -27,12 +27,14 @@ a state that no run reaches; that, and any malformed line, ends in
 SnapshotError.
 
 save_snapshot and --save-state write via replacing(): temp file, then rename.
+
+``json`` is imported in write_snapshot and load_snapshot, as ``array`` is
+in _array, so a run that neither saves nor loads a state imports neither.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, TextIO, Union
@@ -123,6 +125,8 @@ def write_snapshot(
         fields = [(key, _encode(value)) for key, value in estimator.state().items()]
     except (TypeError, IndexError, OverflowError):
         raise SnapshotError("snapshots require interned integer class ids") from None
+    import json
+
     # Each long value is written as it is, not copied into one string first.
     out.write(f"{_MAGIC} {_VERSION} {mode}\nevents {events_seen}\nlabels ")
     out.write(json.dumps(interner.labels, ensure_ascii=False, separators=(",", ":")))
@@ -134,6 +138,8 @@ def write_snapshot(
 
 def load_snapshot(path: str | os.PathLike[str]) -> LoadedSnapshot:
     """Read a snapshot back; raises SnapshotError on any problem."""
+    import json
+
     try:
         with open(path, encoding="utf-8") as source:
             text = source.read()

@@ -260,10 +260,11 @@ class SlidingWindowEstimator:
         estimator = cls(capacity, period)
         if period and since >= period:
             raise ValueError(f"events_since_refresh {since} is not below the refresh period {period}")
-        if len(window) > min(capacity, events):
+        # A run's window holds its last min(capacity, events) ids.
+        if len(window) != min(capacity, events):
             raise ValueError(
-                f"{len(window)} events in the window exceed its capacity {capacity} "
-                f"or the {events} events seen"
+                f"{len(window)} events in the window, where its capacity {capacity} "
+                f"and the {events} events seen give {min(capacity, events)}"
             )
         # The window holds one int object per class, as a run's interned ids
         # do, not one per event. An id at or past n_labels raises IndexError,

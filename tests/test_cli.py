@@ -14,6 +14,7 @@ import pytest
 
 from conftest import hex_ints
 from impurity_stream import ExactEstimator, FadingEstimator, Interner, SlidingWindowEstimator
+from impurity_stream.bench import BENCH_MODES, DEFAULT_SEED
 from impurity_stream.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -23,6 +24,7 @@ from impurity_stream.cli import (
     MODES,
     InputError,
     RunConfig,
+    console_main,
     main,
     run_stream,
 )
@@ -329,14 +331,17 @@ class TestUsageErrors:
 
 def _spawn(argv, data=b"", redirect="", cwd=None):
     """Run the CLI in a new process with ``data`` on its stdin; ``redirect``
-    is a shell redirection, such as ``<&-``, applied to it."""
+    is a shell redirection, such as ``<&-``, applied to it. Its stdout is a
+    pipe, block-buffered whatever PYTHONUNBUFFERED says here."""
     src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "IMPURITY_STREAM_LOG": "info"}
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         ["sh", "-c", f'"$@" {redirect}', "sh", sys.executable, "-m", "impurity_stream", *argv],
         input=data,
         capture_output=True,
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": src, "IMPURITY_STREAM_LOG": "info"},
+        env=env,
     )
 
 
@@ -379,9 +384,19 @@ class TestStdinStdout:
         assert err.startswith("impurity-stream: error:") and err.count("\n") == 1
 
     def test_bench_checks_stdout_before_timing(self, monkeypatch):
-        monkeypatch.setattr("impurity_stream.cli.run_bench", lambda *a, **k: pytest.fail("timed"))
+        monkeypatch.setattr("impurity_stream.bench.run_bench", lambda *a, **k: pytest.fail("timed"))
         monkeypatch.setattr(sys, "stdout", None)
         assert main(["bench", "--classes", "5", "--events", "10000"]) == EXIT_INPUT
+
+    def test_bench_defaults_are_the_bench_module_defaults(self, monkeypatch, capsys):
+        # The parser names the modes and the seed without importing bench.
+        calls = []
+        monkeypatch.setattr("impurity_stream.bench.run_bench", lambda *a, **k: calls.append((a, k)) or [])
+        assert main(["bench", "--classes", "5", "--events", "10000"]) == EXIT_OK
+        ((_, _, modes), kwargs) = calls[0]
+        assert modes == list(BENCH_MODES)
+        assert kwargs["seed"] == DEFAULT_SEED
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
         "args,stdin",
@@ -542,6 +557,10 @@ _TAMPERED_SNAPSHOTS = [
     pytest.param(["exact"], _replace_line("events 3", "events 2"), id="exact-events-below-counts"),
     pytest.param(
         ["window", "--window-size", "3"], _replace_line("events 3", "events 1"), id="window-events-below-length"
+    ),
+    # After 3 events a window of 3 holds 3 ids, not none.
+    pytest.param(
+        ["window", "--window-size", "3"], _replace_line(_WINDOW_ABA, "window u8:"), id="window-shorter-than-run"
     ),
 ]
 
@@ -965,6 +984,112 @@ class TestDiagnostics:
         code, _, err = cli(["run", "--mode", "exact"], input_lines=[""])
         assert code == EXIT_INPUT
         assert "line 1" in err
+
+
+class _FailingFlush(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestConsoleMain:
+    """console_main ends the process with os._exit after one flush of each
+    standard stream, so nothing may depend on the interpreter's teardown."""
+
+    @pytest.fixture()
+    def exits(self, monkeypatch):
+        codes = []
+        monkeypatch.setattr(os, "_exit", codes.append)
+        return codes
+
+    def _run(self, monkeypatch, code, stdout, stderr):
+        monkeypatch.setattr("impurity_stream.cli.main", lambda: code)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        console_main()
+
+    def test_flushes_both_streams(self, monkeypatch, exits):
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        out.write("0\t0.000000000\t0.000000000\n")
+        err.write("impurity-stream: INFO: events=1")
+        self._run(monkeypatch, EXIT_OK, out, err)
+        assert exits == [EXIT_OK]
+        assert out.buffer.getvalue() == b"0\t0.000000000\t0.000000000\n"
+        assert err.buffer.getvalue() == b"impurity-stream: INFO: events=1"
+
+    def test_failed_flush_after_success_is_one_error_line(self, monkeypatch, exits):
+        err = io.StringIO()
+        self._run(monkeypatch, EXIT_OK, _FailingFlush(), err)
+        assert exits == [EXIT_INPUT]
+        assert err.getvalue() == "impurity-stream: error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("code", [EXIT_USAGE, EXIT_INPUT])
+    def test_failed_flush_keeps_an_earlier_failure(self, monkeypatch, exits, code):
+        err = io.StringIO()
+        self._run(monkeypatch, code, _FailingFlush(), err)
+        assert exits == [code]
+        assert err.getvalue() == ""
+
+    def test_failed_stderr_flush_fails_the_run(self, monkeypatch, exits):
+        self._run(monkeypatch, EXIT_OK, io.StringIO(), _FailingFlush())
+        assert exits == [EXIT_INPUT]
+
+    @pytest.mark.parametrize("missing", ["stdout", "stderr", "both"])
+    def test_missing_streams_are_not_flushed(self, monkeypatch, exits, missing):
+        # A process started with fd 1 or fd 2 closed has sys.stdout or
+        # sys.stderr set to None.
+        out = None if missing in ("stdout", "both") else io.StringIO()
+        err = None if missing in ("stderr", "both") else io.StringIO()
+        self._run(monkeypatch, EXIT_OK, out, err)
+        assert exits == [EXIT_OK]
+
+    @pytest.mark.parametrize(
+        "mode", [["window", "--window-size", "1000"], ["fading", "--alpha", "0.999"], ["exact"]], ids=lambda m: m[0]
+    )
+    def test_process_writes_what_main_writes(self, tmp_path, capsys, mode):
+        """Rows through a pipe, rows to --output and the saved state of a
+        process are byte for byte those of main() in process."""
+        rng = random.Random(19)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(f"c{rng.randrange(50)}\n" for _ in range(20000)), encoding="utf-8")
+        argv = ["run", "--mode", *mode, "--emit-every", "1", "--input", str(labels)]
+        assert main([*argv, "--save-state", str(tmp_path / "main.snap")]) == EXIT_OK
+        rows = capsys.readouterr().out.encode()
+        assert rows.count(b"\n") == 20000
+
+        piped = _spawn([*argv, "--save-state", str(tmp_path / "piped.snap")])
+        assert piped.returncode == EXIT_OK, piped.stderr
+        written = _spawn([*argv, "--output", str(tmp_path / "out.tsv"), "--save-state", str(tmp_path / "out.snap")])
+        assert written.returncode == EXIT_OK, written.stderr
+        assert piped.stdout == rows
+        assert (tmp_path / "out.tsv").read_bytes() == rows
+        state = (tmp_path / "main.snap").read_bytes()
+        assert (tmp_path / "piped.snap").read_bytes() == state
+        assert (tmp_path / "out.snap").read_bytes() == state
+
+    def test_help_through_a_pipe(self, capsys):
+        # main() flushes no stream after --help; console_main's flush writes it.
+        assert main(["--help"]) == EXIT_OK
+        proc = _spawn(["--help"])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == capsys.readouterr().out.encode()
+
+    def test_empty_run_imports_no_json_or_bench(self):
+        # Without site, which imports random on some hosts; -X importtime
+        # lists every module the process imports, up to its os._exit.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "impurity_stream", "run", "--mode", "exact"],
+            input=b"",
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src, "IMPURITY_STREAM_LOG": "info"},
+        )
+        err = proc.stderr.decode()
+        assert proc.returncode == EXIT_OK, err
+        imported = {line.rpartition("|")[2].strip() for line in err.splitlines() if line.startswith("import time:")}
+        assert {"impurity_stream.cli", "argparse"} <= imported
+        assert imported.isdisjoint({"json", "impurity_stream.bench", "random", "array"})
+        assert err.endswith("INFO: events=0 distinct_classes=0 gini=0.000000000 entropy=0.000000000\n")
 
 
 class TestExternalEntryPoints:

@@ -232,6 +232,21 @@ class TestErrors:
             load_snapshot(path)
 
     @pytest.mark.parametrize(
+        "events,kept", [(3, 0), (3, 2), (40, 16)], ids=["empty-after-3", "2-after-3", "16-of-17-after-40"]
+    )
+    def test_window_shorter_than_its_run(self, tmp_path, events, kept):
+        """A run's window holds its last min(capacity, events) ids, so a
+        shorter one is no state a run reaches."""
+        est, interner, events = window_fixture(events)
+        path = tmp_path / "state.snap"
+        save_snapshot(path, "window", est, interner, events)
+        window_line = "window " + hex_ints(8, est.window)
+        path.write_text(path.read_text().replace(window_line, "window " + hex_ints(8, list(est.window)[:kept])))
+        message = f"^bad window snapshot: {kept} events in the window, .* give {len(est.window)}$"
+        with pytest.raises(SnapshotError, match=message):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize(
         "value",
         [
             "u8:0001000",  # an odd length
@@ -326,6 +341,16 @@ class TestErrors:
         with pytest.raises(SnapshotError, match="interned integer class ids"):
             save_snapshot(tmp_path / "s", "exact", est, Interner(["a", "b"]), 1)
         assert list(tmp_path.iterdir()) == []
+
+    def test_negative_class_id_rejected_on_save(self, tmp_path):
+        # Filed by its index, id -1 would land in the list's last slot and
+        # save "counts u8:02", which fails its sum check only at the next load.
+        est = ExactEstimator()
+        for label in (0, -1, -1):
+            est.observe(label)
+        self._check_failed_save_keeps_target(
+            tmp_path, "exact", est, Interner(["a", "b"]), 3, "^snapshots require interned integer class ids$"
+        )
 
     def test_save_over_a_fifo_is_refused(self, tmp_path):
         fifo = tmp_path / "p"
