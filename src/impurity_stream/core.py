@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from itertools import count
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 __all__ = [
     "Label",
@@ -98,6 +98,20 @@ def rescale_entropy(h: float, total: float, added_mass: float) -> float:
     return q * (h - math.log2(q))
 
 
+class _Ids(dict[str, int]):
+    """Each interned label's id. Looking up a missing label appends it to
+    ``labels`` and gives it the next id, so a whole block interns in one
+    C-level ``map``."""
+
+    __slots__ = ("labels",)
+    labels: List[str]
+
+    def __missing__(self, label: str) -> int:
+        class_id = self[label] = len(self)
+        self.labels.append(label)
+        return class_id
+
+
 class Interner:
     """Dense integer ids for string labels, assigned on first sight.
 
@@ -106,50 +120,53 @@ class Interner:
     up at any point of a stream.
     """
 
-    __slots__ = ("_ids", "_labels")
+    __slots__ = ("_ids",)
 
     def __init__(self, labels: Iterable[str] = ()) -> None:
         # One pass: zip() draws from ``labels`` before ``numbers``, so
         # ``numbers`` then yields how many labels there were. Fewer keys
         # means a label repeated, and the ids are dealt again in key order.
         numbers = count()
-        self._ids: Dict[str, int] = dict(zip(labels, numbers))
-        self._labels: list[str] = list(self._ids)
-        if next(numbers) != len(self._labels):
-            self._ids = dict(zip(self._labels, count()))
+        ids = self._ids = _Ids(zip(labels, numbers))
+        ids.labels = list(ids)
+        if next(numbers) != len(ids):
+            labels = ids.labels
+            self._ids = ids = _Ids(zip(labels, count()))
+            ids.labels = labels
 
     def intern(self, label: str) -> int:
         """Return the id for a label, allocating the next dense id if new."""
-        class_id = self._ids.get(label)
-        if class_id is None:
-            class_id = len(self._labels)
-            self._ids[label] = class_id
-            self._labels.append(label)
-        return class_id
+        return self._ids[label]
 
     def intern_many(self, labels: Sequence[str]) -> List[int]:
         """The ids of ``labels``, as intern() on each in turn gives them."""
-        ids = list(map(self._ids.get, labels))
-        if None in ids:
-            intern = self.intern
-            ids = [intern(label) if class_id is None else class_id for label, class_id in zip(labels, ids)]
-        return ids
+        return list(map(self._ids.__getitem__, labels))
 
     def label_of(self, class_id: int) -> str:
-        return self._labels[class_id]
+        return self._ids.labels[class_id]
 
     @property
     def labels(self) -> Tuple[str, ...]:
-        return tuple(self._labels)
+        return tuple(self._ids.labels)
+
+    @property
+    def ids(self) -> Tuple[int, ...]:
+        """Each label's id object, in id order: a loaded window maps its ids
+        onto these, so it holds one int per class, as a run does."""
+        return tuple(self._ids.values())
+
+    def __iter__(self) -> Iterator[str]:
+        """The labels in id order, without a copy."""
+        return iter(self._ids.labels)
 
     def __contains__(self, label: str) -> bool:
         return label in self._ids
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self._ids)
 
     def __repr__(self) -> str:
-        return f"Interner({len(self._labels)} labels)"
+        return f"Interner({len(self._ids)} labels)"
 
 
 def state_fields(state: Mapping[str, object], **kinds: type) -> List[object]:
@@ -251,11 +268,11 @@ class ExactEstimator:
         return {"counts": by_id}
 
     @classmethod
-    def from_state(cls, state: Mapping[str, object], events: int, n_labels: int) -> "ExactEstimator":
-        """Rebuild an estimator from state() after ``events`` events over
-        ``n_labels`` labels; ValueError if no run reaches that state."""
+    def from_state(cls, state: Mapping[str, object], events: int, ids: Sequence[int]) -> "ExactEstimator":
+        """Rebuild an estimator from state() after ``events`` events over the
+        labels whose ids are ``ids``; ValueError if no run reaches that state."""
         (by_id,) = state_fields(state, counts=list)
-        check_counts(by_id, events, n_labels)
+        check_counts(by_id, events, len(ids))
         estimator = cls()
         estimator.counts = {class_id: count for class_id, count in enumerate(by_id) if count}
         return estimator

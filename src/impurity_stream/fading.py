@@ -160,9 +160,9 @@ class FadingEstimator:
         return {"alpha": float(self.alpha), "d": self.d, "u": self.u, "counts": list(map(int, self.counts))}
 
     @classmethod
-    def from_state(cls, state: Mapping[str, object], events: int, n_labels: int) -> "FadingEstimator":
-        """Rebuild an estimator from state() after ``events`` events over
-        ``n_labels`` labels; ValueError if no run reaches that state.
+    def from_state(cls, state: Mapping[str, object], events: int, ids: Sequence[int]) -> "FadingEstimator":
+        """Rebuild an estimator from state() after ``events`` events over the
+        labels whose ids are ``ids``; ValueError if no run reaches that state.
 
         n·log2(n) and each c·log2(c) are computed as observe_block computes
         them, so a resumed run continues bit for bit.
@@ -173,7 +173,7 @@ class FadingEstimator:
         if events > _EXACT:
             raise ValueError(f"{events} events is more than the {_EXACT} a float counts exactly")
         estimator = cls(alpha)
-        check_counts(by_id, events, n_labels)
+        check_counts(by_id, events, len(ids))
         estimator.counts = list(map(float, by_id))
         estimator.plogs = [c * log2(c) if c else 0.0 for c in estimator.counts]
         n = float(events)

@@ -27,8 +27,11 @@ a state that no run reaches; that, and any malformed line, ends in
 SnapshotError.
 
 save_snapshot and --save-state write via replacing(): temp file, then rename.
+A save writes the labels a slice at a time and each field as it is; a load
+splits the file's text one line at a time and drops it before it builds the
+state. Either holds about one copy of a state at a time.
 
-``json`` is imported in write_snapshot and load_snapshot, as ``array`` is
+``json`` is imported in write_snapshot and _read_fields, as ``array`` is
 in _array, so a run that neither saves nor loads a state imports neither.
 """
 
@@ -37,7 +40,8 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, TextIO, Union
+from itertools import islice
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, NamedTuple, Optional, TextIO, Tuple, Union
 
 from .core import ExactEstimator, Interner
 from .fading import FadingEstimator
@@ -51,6 +55,8 @@ __all__ = ["ESTIMATORS", "SnapshotError", "LoadedSnapshot", "replacing", "save_s
 _MAGIC = "impurity-stream-snapshot"
 _VERSION = 5
 _SWAP = sys.byteorder == "big"
+# How many labels write_snapshot encodes into one string before it writes it.
+_LABEL_SLICE = 1024
 # The estimator of each run mode, by the mode's name.
 ESTIMATORS = {
     "window": SlidingWindowEstimator,
@@ -121,23 +127,60 @@ def write_snapshot(
         raise SnapshotError(f"unknown mode {mode!r}")
     if not isinstance(estimator, kind):
         raise SnapshotError(f"mode {mode!r} requires a {kind.__name__}")
+    # Any other label would be written as another JSON value, a file that
+    # load_snapshot refuses, or fail in mid-file.
+    if not all(issubclass(label_type, str) for label_type in set(map(type, interner))):
+        raise SnapshotError("snapshots require str labels")
     try:
-        fields = [(key, _encode(value)) for key, value in estimator.state().items()]
+        fields = [(key, *_encode(value)) for key, value in estimator.state().items()]
     except (TypeError, IndexError, OverflowError):
         raise SnapshotError("snapshots require interned integer class ids") from None
-    import json
+    from json.encoder import encode_basestring
 
-    # Each long value is written as it is, not copied into one string first.
-    out.write(f"{_MAGIC} {_VERSION} {mode}\nevents {events_seen}\nlabels ")
-    out.write(json.dumps(interner.labels, ensure_ascii=False, separators=(",", ":")))
-    for key, text in fields:
-        out.write(f"\n{key} ")
-        out.write(text)
+    # Each long value is written as it is, not copied into one string first,
+    # and the labels a slice at a time: the JSON array that
+    # json.dumps(labels, ensure_ascii=False, separators=(",", ":")) gives.
+    out.write(f"{_MAGIC} {_VERSION} {mode}\nevents {events_seen}\nlabels [")
+    labels = iter(interner)
+    for start in range(0, len(interner), _LABEL_SLICE):
+        if start:
+            out.write(",")
+        out.write(",".join(map(encode_basestring, islice(labels, _LABEL_SLICE))))
+    out.write("]")
+    for key, head, body in fields:
+        out.write(f"\n{key} {head}")
+        out.write(body)
     out.write("\n")
 
 
 def load_snapshot(path: str | os.PathLike[str]) -> LoadedSnapshot:
     """Read a snapshot back; raises SnapshotError on any problem."""
+    mode, fields = _read_fields(path)
+    events = fields.pop("events", None)
+    if type(events) is not int or events < 0:
+        raise SnapshotError("bad snapshot: events must be an int >= 0")
+    labels = fields.pop("labels", None)
+    if type(labels) is not list or not set(map(type, labels)) <= {str}:
+        raise SnapshotError("bad snapshot: labels must be a JSON array of strings")
+    interner = Interner(labels)
+    if len(interner) != len(labels):
+        raise SnapshotError("bad snapshot: a label is listed twice")
+    # The interner holds the labels now; their JSON list goes first.
+    del labels
+    try:
+        estimator = ESTIMATORS[mode].from_state(fields, events, interner.ids)
+    except ValueError as exc:
+        raise SnapshotError(f"bad {mode} snapshot: {exc}") from None
+    return LoadedSnapshot(mode, estimator, interner, events)
+
+
+def _read_fields(path: str | os.PathLike[str]) -> Tuple[str, Dict[str, object]]:
+    """The mode and the decoded fields of the snapshot at ``path``.
+
+    The file's text and its lines are gone when this returns, and only one
+    line at a time is split from the text, so a load holds about one copy
+    of a state at a time.
+    """
     import json
 
     try:
@@ -145,23 +188,20 @@ def load_snapshot(path: str | os.PathLike[str]) -> LoadedSnapshot:
             text = source.read()
     except UnicodeDecodeError as exc:
         raise SnapshotError(f"snapshot is not valid UTF-8: {exc}") from None
-    # Labels may hold any character but a newline, so split on "\n" alone.
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
+    lines = _lines(text)
+    del text
 
-    header = lines[0].split() if lines else []
+    header = next(lines, "").split()
     if len(header) != 3 or header[0] != _MAGIC:
         raise SnapshotError("not an impurity-stream snapshot")
     if header[1] != str(_VERSION):
         raise SnapshotError(f"unsupported snapshot version {header[1]!r}")
     mode = header[2]
-    kind = ESTIMATORS.get(mode)
-    if kind is None:
+    if mode not in ESTIMATORS:
         raise SnapshotError(f"unknown snapshot mode {mode!r}")
 
-    fields = {}
-    for number, line in enumerate(lines[1:], 2):
+    fields: Dict[str, object] = {}
+    for number, line in enumerate(lines, 2):
         key, _, raw = line.partition(" ")
         if key in fields:
             raise SnapshotError(f"line {number}: repeated field {key!r}")
@@ -172,25 +212,27 @@ def load_snapshot(path: str | os.PathLike[str]) -> LoadedSnapshot:
         except (ValueError, RecursionError):
             kinds = "JSON array" if key == "labels" else "int, hex float or uW:HEX list"
             raise SnapshotError(f"line {number}: {key!r} holds no {kinds}") from None
-    events = fields.pop("events", None)
-    if type(events) is not int or events < 0:
-        raise SnapshotError("bad snapshot: events must be an int >= 0")
-    labels = fields.pop("labels", None)
-    if type(labels) is not list or not set(map(type, labels)) <= {str}:
-        raise SnapshotError("bad snapshot: labels must be a JSON array of strings")
-    interner = Interner(labels)
-    if len(interner) != len(labels):
-        raise SnapshotError("bad snapshot: a label is listed twice")
-    try:
-        estimator = kind.from_state(fields, events, len(labels))
-    except ValueError as exc:
-        raise SnapshotError(f"bad {mode} snapshot: {exc}") from None
-    return LoadedSnapshot(mode, estimator, interner, events)
+    return mode, fields
 
 
-def _encode(value: object) -> str:
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, one at a time. Labels may hold any character
+    but a newline, so lines end at "\n" alone, and a final "\n" starts no
+    further line."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        yield text[start:end]
+        start = end + 1
+
+
+def _encode(value: object) -> Tuple[str, str]:
+    """A field's value as two strings to write one after the other: a list
+    of ints as its "uW:" tag and its hex, anything else as its text and ""."""
     if isinstance(value, float):
-        return value.hex()
+        return value.hex(), ""
     if isinstance(value, list):
         top = max(value, default=0)
         tag = "u8" if top < 1 << 8 else "u16" if top < 1 << 16 else "u32" if top < 1 << 32 else "u64"
@@ -199,8 +241,8 @@ def _encode(value: object) -> str:
         items = _array(tag, value)
         if _SWAP:
             items.byteswap()
-        return f"{tag}:{memoryview(items).hex()}"
-    return int.__repr__(value)
+        return f"{tag}:", memoryview(items).hex()
+    return int.__repr__(value), ""
 
 
 def _decode(raw: str) -> object:

@@ -250,10 +250,11 @@ class SlidingWindowEstimator:
 
     @classmethod
     def from_state(
-        cls, state: Mapping[str, object], events: int, n_labels: int
+        cls, state: Mapping[str, object], events: int, ids: Sequence[Label]
     ) -> "SlidingWindowEstimator":
-        """Rebuild an estimator from state() after ``events`` events over
-        ``n_labels`` labels; ValueError if no run reaches that state."""
+        """Rebuild an estimator from state() after ``events`` events over the
+        labels whose ids are ``ids``, in id order, such as ``Interner.ids``;
+        ValueError if no run reaches that state."""
         capacity, period, since, window = state_fields(
             state, capacity=int, refresh_period=int, events_since_refresh=int, window=list
         )
@@ -266,16 +267,16 @@ class SlidingWindowEstimator:
                 f"{len(window)} events in the window, where its capacity {capacity} "
                 f"and the {events} events seen give {min(capacity, events)}"
             )
-        # The window holds one int object per class, as a run's interned ids
-        # do, not one per event. An id at or past n_labels raises IndexError,
-        # so no max() pass is needed; state_fields has seen none below 0.
-        ids = list(range(n_labels))
+        # The window holds the id objects of ``ids``, one per class, as a run
+        # holds its interner's, not one per event. An id at or past len(ids)
+        # raises IndexError, so no max() pass is needed; state_fields has
+        # seen none below 0.
         try:
             estimator.window.extend(map(ids.__getitem__, window))
         except IndexError:
             raise ValueError("class id outside the label table") from None
         # Indexing a list costs less per id than hashing it into a Counter.
-        counts = estimator.counts = [0] * n_labels
+        counts = estimator.counts = [0] * len(ids)
         for class_id in estimator.window:
             counts[class_id] += 1
         estimator.refresh()

@@ -168,6 +168,15 @@ class TestInterner:
         assert batched.intern_many(["z", "x"]) == [2, 0]
         assert batched.intern_many([]) == []
 
+    def test_ids_and_labels_in_id_order(self):
+        """``ids`` holds the objects that intern() returns, and iterating
+        gives the labels, both in id order."""
+        interner = Interner(f"label-{i}" for i in range(300))
+        assert interner.intern_many(["new", "label-299", "newer"]) == [300, 299, 301]
+        assert list(interner) == [f"label-{i}" for i in range(300)] + ["new", "newer"]
+        assert interner.ids == tuple(range(302))
+        assert all(interner.intern(label) is class_id for label, class_id in zip(interner, interner.ids))
+
     def test_repr_counts_labels(self):
         assert repr(Interner(["a", "b", "a"])) == "Interner(2 labels)"
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import io
+import json
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,7 +20,7 @@ from impurity_stream import (
     load_snapshot,
     save_snapshot,
 )
-from impurity_stream.snapshot import write_snapshot
+from impurity_stream.snapshot import _LABEL_SLICE, write_snapshot
 
 
 def window_fixture(events=137):
@@ -172,6 +174,84 @@ class TestRoundTrips:
         save_snapshot(path, "exact", est, interner, len(awkward))
         loaded = load_snapshot(path)
         assert loaded.interner.labels == interner.labels
+
+
+# Labels that JSON escapes (quotes, backslashes, control characters) and
+# ones it writes as they are (U+2028, U+2029, NEL, characters outside the
+# BMP), none of which ends a snapshot line.
+AWKWARD = ['q"uote', "back\\slash", "\x00\x01\x1f\x7f", "tab\tnew\nline\r", "line\u2028sep\u2029", "\x85", "\U0001d11e\U0001f389", "日本語", ""]
+
+
+class TestLabelSlices:
+    @pytest.mark.parametrize(
+        "count", [0, 1, _LABEL_SLICE - 1, _LABEL_SLICE, _LABEL_SLICE + 1], ids=["0", "1", "slice-1", "slice", "slice+1"]
+    )
+    def test_labels_line_is_what_json_dumps_writes(self, tmp_path, count):
+        """The labels are written a slice at a time, and the line is the
+        one that json.dumps of the whole table gives."""
+        labels = [f"{AWKWARD[i % len(AWKWARD)]}{i}" for i in range(count)]
+        out = io.StringIO()
+        write_snapshot(out, "exact", ExactEstimator(), Interner(labels), 0)
+        lines = out.getvalue().split("\n")
+        assert lines[2] == "labels " + json.dumps(labels, ensure_ascii=False, separators=(",", ":"))
+        path = tmp_path / "state.snap"
+        path.write_text(out.getvalue(), encoding="utf-8")
+        assert load_snapshot(path).interner.labels == tuple(labels)
+
+    def test_str_subclass_label_saves_as_its_text(self, tmp_path):
+        class Name(str):
+            pass
+
+        path = tmp_path / "state.snap"
+        save_snapshot(path, "exact", ExactEstimator(), Interner(["a", Name("b")]), 0)
+        assert load_snapshot(path).interner.labels == ("a", "b")
+
+
+def large_window_state(tmp_path):
+    """A window-resume sized state: 20k labels and 50k window ids, saved."""
+    rng = random.Random(20)
+    interner = Interner(f"c{i}" for i in range(20000))
+    est = SlidingWindowEstimator(50000)
+    est.observe_many([rng.randrange(20000) for _ in range(60000)])
+    path = tmp_path / "state.snap"
+    save_snapshot(path, "window", est, interner, 60000)
+    return path, est, interner
+
+
+class TestLargeState:
+    def test_loaded_window_holds_the_interner_ids(self, tmp_path):
+        """A loaded window holds one int object per class, the interner's,
+        as a run does, not one per event or a second set beside them."""
+        path, est, _ = large_window_state(tmp_path)
+        loaded = load_snapshot(path)
+        intern, label_of = loaded.interner.intern, loaded.interner.label_of
+        assert list(loaded.estimator.window) == list(est.window)
+        assert all(intern(label_of(class_id)) is class_id for class_id in loaded.estimator.window)
+        assert all(class_id is loaded.interner.ids[class_id] for class_id in loaded.estimator.window)
+
+    def test_load_and_save_hold_about_one_copy_of_the_state(self, tmp_path):
+        """Traced by tracemalloc, a save peaks below 2.25 times the file's
+        size and a load below 1.5 times it above what it keeps. json.dumps
+        of the whole label table, or a hex field copied into one string with
+        its tag, breaks the first; the file's text or its lines kept while
+        the state is built break the second."""
+        path, _, _ = large_window_state(tmp_path)
+        size = path.stat().st_size
+        assert 300_000 < size < 400_000
+        tracemalloc.start()
+        try:
+            loaded = load_snapshot(path)
+            kept, peak = tracemalloc.get_traced_memory()
+            load_excess = peak - kept
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            save_snapshot(tmp_path / "again.snap", "window", loaded.estimator, loaded.interner, loaded.events_seen)
+            save_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "again.snap").read_bytes() == path.read_bytes()
+        assert load_excess < 1.5 * size
+        assert save_peak < 2.25 * size
 
 
 class TestErrors:
@@ -333,6 +413,21 @@ class TestErrors:
             save_snapshot(tmp_path / "s", "exact", est, Interner(), 1)
         assert list(tmp_path.iterdir()) == []
         self._check_failed_save_keeps_target(tmp_path, "exact", est, Interner(), 1, "interned")
+
+    @pytest.mark.parametrize("at", [0, 1, _LABEL_SLICE + 1], ids=["first", "second", "past-a-slice"])
+    def test_non_str_label_rejected_on_save(self, tmp_path, at):
+        """json.dumps wrote an int label as 5, in a file that load_snapshot
+        refuses; the label slices would stop in mid-file. Nothing is written."""
+        labels = [f"c{i}" for i in range(_LABEL_SLICE + 2)]
+        labels[at] = 5
+        interner = Interner(labels)
+        est = ExactEstimator()
+        est.observe(interner.intern(5))
+        out = io.StringIO()
+        with pytest.raises(SnapshotError, match="^snapshots require str labels$"):
+            write_snapshot(out, "exact", est, interner, 1)
+        assert out.getvalue() == ""
+        self._check_failed_save_keeps_target(tmp_path, "exact", est, interner, 1, "^snapshots require str labels$")
 
     @pytest.mark.parametrize("counts", [{0: 2**64}, {0: 1, 1: -1}], ids=["2**64", "negative"])
     def test_int_outside_every_width_rejected_on_save(self, tmp_path, counts):

@@ -318,7 +318,7 @@ class TestObserveMany:
             events += len(piece)
             same_state(batched, folded)
             if rng.random() < 0.05:
-                batched = SlidingWindowEstimator.from_state(batched.state(), events, 40)
+                batched = SlidingWindowEstimator.from_state(batched.state(), events, range(40))
                 same_state(batched, folded)
 
     @pytest.mark.parametrize("rebuilt", [False, True])
@@ -334,7 +334,7 @@ class TestObserveMany:
         state = feed(SlidingWindowEstimator(17, refresh_period=11), head).state()
         monkeypatch.setattr(window_module, "_STEP", [])
         if rebuilt:
-            batched = SlidingWindowEstimator.from_state(state, len(head), 4)
+            batched = SlidingWindowEstimator.from_state(state, len(head), range(4))
             batched.observe_many(batch)
         else:
             batched = SlidingWindowEstimator(17, refresh_period=11)
@@ -374,5 +374,5 @@ class TestPackedSums:
             assert batched.sums == t * 2**128 + s2
             same_state(batched, folded)
             if rng.random() < 0.1:
-                batched = SlidingWindowEstimator.from_state(batched.state(), events, classes)
+                batched = SlidingWindowEstimator.from_state(batched.state(), events, range(classes))
                 same_state(batched, folded)
