@@ -179,7 +179,17 @@ class TestRoundTrips:
 # Labels that JSON escapes (quotes, backslashes, control characters) and
 # ones it writes as they are (U+2028, U+2029, NEL, characters outside the
 # BMP), none of which ends a snapshot line.
-AWKWARD = ['q"uote', "back\\slash", "\x00\x01\x1f\x7f", "tab\tnew\nline\r", "line\u2028sep\u2029", "\x85", "\U0001d11e\U0001f389", "日本語", ""]
+AWKWARD = [
+    'q"uote',
+    "back\\slash",
+    "\x00\x01\x1f\x7f",
+    "tab\tnew\nline\r",
+    "line\u2028sep\u2029",
+    "\x85",
+    "\U0001d11e\U0001f389",
+    "日本語",
+    "",
+]
 
 
 class TestLabelSlices:
