@@ -217,7 +217,7 @@ def _read_fields(path: str | os.PathLike[str]) -> Tuple[str, Dict[str, object]]:
 
 def _lines(text: str) -> Iterator[str]:
     """The lines of ``text``, one at a time. Labels may hold any character
-    but a newline, so lines end at "\n" alone, and a final "\n" starts no
+    but a newline, so lines end at "\\n" alone, and a final "\\n" starts no
     further line."""
     start = 0
     while start < len(text):
