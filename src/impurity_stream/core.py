@@ -17,8 +17,11 @@ Empty samples (S = 0) have both metrics defined as 0, and terms of the form
 from __future__ import annotations
 
 import math
-from itertools import count
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from itertools import count, islice, repeat
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, List, Mapping, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from array import array
 
 __all__ = [
     "Label",
@@ -175,8 +178,8 @@ def state_fields(state: Mapping[str, object], **kinds: type) -> List[object]:
     ``kinds`` maps each field name to int, float or list. The names must
     match exactly. An int, and every element of a list, must be an int >= 0;
     a float must be finite. A list field also takes an unsigned ``array``,
-    as a snapshot loads it, whose items need no check. Raises ValueError
-    otherwise.
+    as state() gives it and a snapshot loads it, whose items need no check.
+    Raises ValueError otherwise.
     """
     extra = sorted(state.keys() - kinds.keys())
     missing = [name for name in kinds if name not in state]
@@ -204,11 +207,34 @@ def state_fields(state: Mapping[str, object], **kinds: type) -> List[object]:
 
 def _is_unsigned_array(value: object) -> bool:
     """Whether ``value`` is an ``array`` of an unsigned typecode, whose items
-    are ints >= 0. Only a loaded state holds one, so ``array`` is imported
-    here, not by every run (see ``snapshot._array``)."""
+    are ints >= 0. ``array`` is imported here and in unsigned_array(), not
+    at module level: a run that saves and loads no state never loads the
+    extension module, which costs about 0.1 MiB of peak RSS."""
     from array import array
 
     return type(value) is array and value.typecode in "BHILQ"
+
+
+def unsigned_array(top: int, items: Iterable[int] = ()) -> array:
+    """An unsigned ``array`` of ``items``, of the narrowest typecode that
+    holds ``top``, an int at least as large as every item.
+
+    The items are copied in slices of 4096, so no list of them all is
+    built. OverflowError if no typecode holds ``top`` or an item is below 0
+    or above its range; TypeError if an item is no int.
+    """
+    from array import array
+
+    for code in "BHILQ":
+        if not top >> 8 * array(code).itemsize:
+            break
+    else:
+        raise OverflowError(f"{top} is below 0 or too large for every unsigned array")
+    values = array(code)
+    items = iter(items)
+    while chunk := list(islice(items, 4096)):
+        values.fromlist(chunk)
+    return values
 
 
 def check_counts(by_id: Sequence[int], events: int, n_labels: int) -> None:
@@ -259,10 +285,10 @@ class ExactEstimator:
     def state(self) -> Dict[str, object]:
         """The fields that restore this estimator; see ``snapshot``."""
         counts = self.counts
-        # A negative id would index the list from its end.
+        # A negative id would index the array from its end.
         if min(counts, default=0) < 0:
             raise IndexError("class id below 0")
-        by_id = [0] * (max(counts, default=-1) + 1)
+        by_id = unsigned_array(max(counts.values(), default=0), repeat(0, max(counts, default=-1) + 1))
         for class_id, count in counts.items():
             by_id[class_id] = count
         return {"counts": by_id}

@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import log2
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .core import Label, check_counts, state_fields
+from .core import Label, check_counts, state_fields, unsigned_array
 
 __all__ = ["FadingEstimator"]
 
@@ -155,9 +155,16 @@ class FadingEstimator:
     def state(self) -> Dict[str, object]:
         """The fields that restore this estimator; see ``snapshot``.
 
-        ``n`` and the L values are not among them: they follow from the counts.
+        ``n`` and the L values are not among them: they follow from the
+        counts, which are copied into an unsigned ``array``.
         """
-        return {"alpha": float(self.alpha), "d": self.d, "u": self.u, "counts": list(map(int, self.counts))}
+        counts = self.counts
+        return {
+            "alpha": float(self.alpha),
+            "d": self.d,
+            "u": self.u,
+            "counts": unsigned_array(int(max(counts, default=0.0)), map(int, counts)),
+        }
 
     @classmethod
     def from_state(cls, state: Mapping[str, object], events: int, ids: Sequence[int]) -> "FadingEstimator":

@@ -9,10 +9,10 @@ an uninterrupted one. Version 5 stores nothing that can be derived:
     FIELD VALUE       one line per field of the estimator's state()
 
 An int is written in decimal and a float as a hex literal, so it
-round-trips bit-exactly. A list of ints is written as uW:HEX, the hex of
-its items as unsigned little-endian ints of W bits, where W is 8, 16, 32 or
-64, the fewest that hold the largest item: ``window u16:0d36…``. The fields
-per mode:
+round-trips bit-exactly. A list of ints, which state() gives as an
+unsigned ``array``, is written as uW:HEX, the hex of its items as unsigned
+little-endian ints of W bits, where W is 8, 16, 32 or 64, the fewest that
+hold the largest item: ``window u16:0d36…``. The fields per mode:
 
     window  capacity, refresh_period, events_since_refresh and window
             (the ids in the window, oldest first, as uW:HEX)
@@ -27,12 +27,14 @@ a state that no run reaches; that, and any malformed line, ends in
 SnapshotError.
 
 save_snapshot and --save-state write via replacing(): temp file, then rename.
-A save writes the labels a slice at a time and each field as it is; a load
-splits the file's text one line at a time and drops it before it builds the
-state. Either holds about one copy of a state at a time.
+A save writes the labels and each uW field a slice at a time, from the
+arrays that state() copies; a load splits the file's text one line at a
+time and drops it before it builds the state. Either holds about one copy
+of a state at a time.
 
 ``json`` is imported in write_snapshot and _read_fields, as ``array`` is
-in _array, so a run that neither saves nor loads a state imports neither.
+in ``core.unsigned_array``, so a run that neither saves nor loads a state
+imports neither.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ import contextlib
 import os
 import sys
 from itertools import islice
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, NamedTuple, Optional, TextIO, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, NamedTuple, TextIO, Tuple, Union
 
-from .core import ExactEstimator, Interner
+from .core import ExactEstimator, Interner, unsigned_array
 from .fading import FadingEstimator
 from .window import SlidingWindowEstimator
 
@@ -55,8 +57,10 @@ __all__ = ["ESTIMATORS", "SnapshotError", "LoadedSnapshot", "replacing", "save_s
 _MAGIC = "impurity-stream-snapshot"
 _VERSION = 5
 _SWAP = sys.byteorder == "big"
-# How many labels write_snapshot encodes into one string before it writes it.
+# How many labels, and how many items of a uW field, write_snapshot encodes
+# into one string before it writes it.
 _LABEL_SLICE = 1024
+_HEX_SLICE = 4096
 # The estimator of each run mode, by the mode's name.
 ESTIMATORS = {
     "window": SlidingWindowEstimator,
@@ -99,15 +103,21 @@ def replacing(path: str | os.PathLike[str]) -> Iterator[TextIO]:
     A symlink ``path`` is followed: the temp file is made beside the file it
     names, which is replaced, and the link stays. A ``path`` that exists and
     is not a regular file, such as a FIFO, a device or a directory, raises
-    SnapshotError before anything is created.
+    SnapshotError before anything is created. An OSError from making the
+    temp file, such as in a missing or unwritable directory, names ``path``;
+    a temp file left by an earlier process of this pid is named itself.
     """
-    target = os.fspath(path)
-    if os.path.islink(target):
-        target = os.path.realpath(target)
+    given = os.fspath(path)
+    target = os.path.realpath(given) if os.path.islink(given) else given
     if os.path.exists(target) and not os.path.isfile(target):
-        raise SnapshotError(f"{os.fspath(path)} is not a regular file")
+        raise SnapshotError(f"{given} is not a regular file")
     temp = f"{target}.tmp-{os.getpid()}"
-    out = open(temp, "x", encoding="utf-8", newline="\n")
+    try:
+        out = open(temp, "x", encoding="utf-8", newline="\n")
+    except FileExistsError:
+        raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, given) from None
     try:
         yield out
         out.close()
@@ -132,13 +142,13 @@ def write_snapshot(
     if not all(issubclass(label_type, str) for label_type in set(map(type, interner))):
         raise SnapshotError("snapshots require str labels")
     try:
-        fields = [(key, *_encode(value)) for key, value in estimator.state().items()]
+        fields = estimator.state()
     except (TypeError, IndexError, OverflowError):
         raise SnapshotError("snapshots require interned integer class ids") from None
     from json.encoder import encode_basestring
 
-    # Each long value is written as it is, not copied into one string first,
-    # and the labels a slice at a time: the JSON array that
+    # The labels and each uW field are written a slice at a time, not copied
+    # into one string first. The labels make the JSON array that
     # json.dumps(labels, ensure_ascii=False, separators=(",", ":")) gives.
     out.write(f"{_MAGIC} {_VERSION} {mode}\nevents {events_seen}\nlabels [")
     labels = iter(interner)
@@ -147,9 +157,9 @@ def write_snapshot(
             out.write(",")
         out.write(",".join(map(encode_basestring, islice(labels, _LABEL_SLICE))))
     out.write("]")
-    for key, head, body in fields:
-        out.write(f"\n{key} {head}")
-        out.write(body)
+    for key, value in fields.items():
+        out.write(f"\n{key} ")
+        out.writelines(_encode(value))
     out.write("\n")
 
 
@@ -228,21 +238,22 @@ def _lines(text: str) -> Iterator[str]:
         start = end + 1
 
 
-def _encode(value: object) -> Tuple[str, str]:
-    """A field's value as two strings to write one after the other: a list
-    of ints as its "uW:" tag and its hex, anything else as its text and ""."""
+def _encode(value: object) -> Iterator[str]:
+    """A field's value as strings to write one after another: a float as its
+    hex literal, an int in decimal, and an unsigned ``array`` as its "uW:"
+    tag, W from its item size, then the hex of its items a slice at a time,
+    each item little-endian."""
     if isinstance(value, float):
-        return value.hex(), ""
-    if isinstance(value, list):
-        top = max(value, default=0)
-        tag = "u8" if top < 1 << 8 else "u16" if top < 1 << 16 else "u32" if top < 1 << 32 else "u64"
-        # array() raises TypeError on anything but an int, and OverflowError
-        # on one below 0 or of 2**64 or more.
-        items = _array(tag, value)
-        if _SWAP:
-            items.byteswap()
-        return f"{tag}:", memoryview(items).hex()
-    return int.__repr__(value), ""
+        yield value.hex()
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+    else:
+        yield f"u{8 * value.itemsize}:"
+        for start in range(0, len(value), _HEX_SLICE):
+            chunk = value[start : start + _HEX_SLICE]
+            if _SWAP:
+                chunk.byteswap()
+            yield memoryview(chunk).hex()
 
 
 def _decode(raw: str) -> object:
@@ -255,30 +266,15 @@ def _decode(raw: str) -> object:
         return float.fromhex(raw)
 
 
-def _array(tag: str, values: Iterable[int] = ()) -> Optional[array]:
-    """An unsigned array of ``values``, its items as wide as the tag u8, u16,
-    u32 or u64 says, or None for another tag. The sizes of "I" and "L"
-    differ between platforms, so a file names the width, not the typecode.
-
-    ``array`` is imported here, not at module level: a run that saves and
-    loads no state never loads the extension module, which costs about
-    0.1 MiB of peak RSS.
-    """
-    from array import array
-
-    for code in "BHILQ":
-        if tag == f"u{8 * array(code).itemsize}":
-            return array(code, values)
-    return None
-
-
 def _decode_ints(tag: str, digits: str) -> array:
     """The unsigned array that a uW:HEX field holds. SnapshotError, whose
     message completes "line N: 'FIELD' …", unless the width is known and
-    the digits are hex digits alone that make whole items."""
-    items = _array(tag)
-    if items is None:
+    the digits are hex digits alone that make whole items. The sizes of
+    "I" and "L" differ between platforms, so a file names the width, not
+    the typecode."""
+    if tag not in ("u8", "u16", "u32", "u64"):
         raise SnapshotError(f"holds an unknown width {tag!r}")
+    items = unsigned_array((1 << int(tag[1:])) - 1)
     if len(digits) % (2 * items.itemsize):
         raise SnapshotError(f"holds {len(digits)} hex digits, no whole number of {tag} items")
     try:

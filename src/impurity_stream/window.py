@@ -8,7 +8,7 @@ from itertools import chain, islice
 from math import ldexp, log2
 from typing import Deque, Dict, List, Mapping, Sequence, Tuple
 
-from .core import Label, state_fields
+from .core import Label, state_fields, unsigned_array
 
 __all__ = ["SlidingWindowEstimator"]
 
@@ -240,12 +240,20 @@ class SlidingWindowEstimator:
         return (1.0 - s2 / (n * n), max(0.0, log2(n) - ldexp((sums >> _SHIFT) / n, -52)))
 
     def state(self) -> Dict[str, object]:
-        """The fields that restore this estimator; see ``snapshot``."""
+        """The fields that restore this estimator; see ``snapshot``. The
+        window's ids are copied into an unsigned ``array``, at a fraction of
+        a list's size, so later events do not change a state once taken."""
+        # The largest id in the window is the last id with a count above 0,
+        # found without a max() pass over the window.
+        counts = self.counts
+        top = len(counts) - 1
+        while top > 0 and not counts[top]:
+            top -= 1
         return {
             "capacity": self.capacity,
             "refresh_period": self.refresh_period,
             "events_since_refresh": self.events_since_refresh,
-            "window": list(self.window),
+            "window": unsigned_array(max(top, 0), self.window),
         }
 
     @classmethod

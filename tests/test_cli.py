@@ -747,6 +747,15 @@ class TestStatePersistence:
         assert err.startswith("impurity-stream: error:")
         assert err.count("\n") == 1
 
+    def test_save_state_in_a_missing_directory_names_the_path_given(self, tmp_path):
+        # Not the temp file beside it, "nope/x.state.tmp-<pid>", which the
+        # user never named.
+        proc = _spawn(["run", "--mode", "exact", "--save-state", "nope/x.state"], b"a\nb\n", cwd=tmp_path)
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr == b"impurity-stream: error: [Errno 2] No such file or directory: 'nope/x.state'\n"
+        assert proc.stdout == b""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("kind", ["fifo", "directory"])
     def test_save_state_that_is_no_regular_file_fails_before_any_row(self, tmp_path, kind):
         # Renaming the state over it would turn a FIFO or an empty directory
