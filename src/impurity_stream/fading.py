@@ -158,13 +158,8 @@ class FadingEstimator:
         ``n`` and the L values are not among them: they follow from the
         counts, which are copied into an unsigned ``array``.
         """
-        counts = self.counts
-        return {
-            "alpha": float(self.alpha),
-            "d": self.d,
-            "u": self.u,
-            "counts": unsigned_array(int(max(counts, default=0.0)), map(int, counts)),
-        }
+        counts = unsigned_array(int(max(self.counts, default=0.0)), map(int, self.counts))
+        return {"alpha": float(self.alpha), "d": self.d, "u": self.u, "counts": counts}
 
     @classmethod
     def from_state(cls, state: Mapping[str, object], events: int, ids: Sequence[int]) -> "FadingEstimator":

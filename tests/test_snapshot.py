@@ -162,7 +162,7 @@ class TestGoldenFiles:
         save_snapshot(again, mode, loaded.estimator, loaded.interner, loaded.events_seen)
         assert again.read_bytes() == GOLDEN[mode].encode()
 
-    def test_big_endian_host_writes_and_reads_little_endian(self, tmp_path, monkeypatch):
+    def test_a_swapped_byte_order_applies_to_save_and_load(self, tmp_path, monkeypatch):
         """On a big-endian host each slice is byteswapped on save and the
         items on load. Here that swap turns the items big-endian, so both
         sides agree with each other and not with the golden file."""
