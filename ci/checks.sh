@@ -111,4 +111,29 @@ for mode in "window --window-size 1000" "fading --alpha 0.999" "exact"; do
   done
 done
 
+echo "CSV rows read through stdin, --input and a resume alike"
+# Rows i,x,label end in \r\n, \r or \n, so a line end follows each
+# label. Each estimator reads them from a pipe, through --input, and
+# split after row 12345, its state saved and loaded; the rows of all
+# three must be those of the uninterrupted --input run. head cannot
+# split at a lone \r, so the program writes rows [start, stop) of one
+# seeded list. As in the resume step above, the first part's last row
+# is dropped unless it falls on the cadence.
+CSV="import random, sys; r = random.Random(11); rows = [b'%d,x,c%d%s' % (i, r.randrange(300), r.choice([b'\\r\\n', b'\\r', b'\\n'])) for i in range(40000)]; sys.stdout.buffer.write(b''.join(rows[int(sys.argv[1]):int(sys.argv[2])]))"
+python -c "$CSV" 0 40000 > "$RUNNER_TEMP/rows.csv"
+python -c "$CSV" 0 12345 > "$RUNNER_TEMP/head.csv"
+python -c "$CSV" 12345 40000 > "$RUNNER_TEMP/tail.csv"
+for case in "1 window --window-size 1000 --refresh-every 10000" "1 fading --alpha 0.999" "16 exact"; do
+  every=${case%% *}
+  run="python -m impurity_stream run --format csv --column 2 --emit-every $every --mode ${case#* }"
+  $run --input "$RUNNER_TEMP/rows.csv" > "$RUNNER_TEMP/whole.tsv"
+  test "$(wc -l < "$RUNNER_TEMP/whole.tsv")" -eq $((40000 / every))
+  cat "$RUNNER_TEMP/rows.csv" | $run > "$RUNNER_TEMP/stdin.tsv"
+  cmp "$RUNNER_TEMP/stdin.tsv" "$RUNNER_TEMP/whole.tsv"
+  cat "$RUNNER_TEMP/head.csv" | $run --save-state "$RUNNER_TEMP/state.snap" \
+    | awk -v every="$every" '($1 + 1) % every == 0' > "$RUNNER_TEMP/split.tsv"
+  $run --input "$RUNNER_TEMP/tail.csv" --load-state "$RUNNER_TEMP/state.snap" >> "$RUNNER_TEMP/split.tsv"
+  cmp "$RUNNER_TEMP/split.tsv" "$RUNNER_TEMP/whole.tsv"
+done
+
 echo "All checks passed"

@@ -22,7 +22,6 @@ import contextlib
 import io
 import os
 import sys
-from itertools import chain
 from typing import BinaryIO, Iterable, Iterator, List, NamedTuple, NoReturn, Optional, TextIO, Union
 
 from .core import Interner
@@ -142,10 +141,10 @@ def run_stream(
     line writes. Its lines go in blocks of at most ``_BLOCK`` to the
     interner's ``intern_many`` and the estimator's ``observe_block``, which
     returns the block's rows as one flat list ``[index, gini, entropy, …]``.
-    An iterable of lines, or an estimator without
-    ``observe_block`` or an interner without ``intern_many``, is taken line
-    by line. Rows, errors and the estimator's state are those that reading
-    line by line gives.
+    An iterable of lines is taken line by line, through the estimator's
+    ``observe`` and ``metrics`` and the interner's ``intern`` alone. Rows,
+    errors and the estimator's state are those that reading line by line
+    gives.
     """
     write = out.write
     text = _ROWS[cfg.metric]
@@ -153,10 +152,9 @@ def run_stream(
     csv = cfg.input_format == "csv"
     column = cfg.csv_column
     events = start_index
-    binary = hasattr(source, "read1")
-    observe_block = getattr(estimator, "observe_block", None)
-    intern_many = getattr(interner, "intern_many", None)
-    if binary and observe_block and intern_many:
+    if hasattr(source, "read1"):
+        observe_block = estimator.observe_block
+        intern_many = interner.intern_many
         for block in _byte_blocks(source):  # type: ignore[arg-type]
             labels = _block_labels(block, csv, column)
             good = len(labels)
@@ -171,13 +169,11 @@ def run_stream(
         observe = estimator.observe
         metrics = estimator.metrics
         intern = interner.intern
-        lines = chain.from_iterable(_byte_blocks(source)) if binary else source  # type: ignore[arg-type]
-        for raw in lines:
+        for raw in source:
+            # A line end adds no comma, and strip() takes it off the last field.
             if csv:
-                fields = raw.rstrip("\r\n").split(",")
-                if column >= len(fields):
-                    raise _bad_line(events - start_index + 1, raw, csv, column)
-                label = fields[column].strip()
+                fields = raw.split(",")
+                label = fields[column].strip() if column < len(fields) else ""
             else:
                 label = raw.strip()
             if not label:
@@ -239,7 +235,7 @@ def _block_labels(block: List[str], csv: bool, column: int) -> List[str]:
 def _bad_line(number: int, raw: str, csv: bool, column: int) -> InputError:
     """The error for line ``number`` of a run, ``raw``, which holds no label."""
     if csv:
-        fields = raw.rstrip("\r\n").split(",")
+        fields = raw.split(",")
         if column >= len(fields):
             return InputError(
                 f"line {number}: expected at least {column + 1} "

@@ -23,8 +23,9 @@ hold the largest item: ``window u16:0d36…``. The fields per mode:
 The window's counts and its exact power sums follow from its ids; the
 fading n, n·log2(n) and each c·log2(c) follow from its counts. A uW:HEX
 field loads as an unsigned ``array``. Each estimator's from_state() rejects
-a state that no run reaches; that, and any malformed line, ends in
-SnapshotError.
+a state that no run reaches; that, any malformed line, and a label that
+UTF-8 cannot encode (a lone surrogate, which only a JSON escape can give)
+end in SnapshotError, at a load and at a save.
 
 save_snapshot and --save-state write via replacing(): temp file, then rename.
 A save writes the labels and each uW field a slice at a time, from the
@@ -155,7 +156,14 @@ def write_snapshot(
     for start in range(0, len(interner), _LABEL_SLICE):
         if start:
             out.write(",")
-        out.write(",".join(map(encode_basestring, islice(labels, _LABEL_SLICE))))
+        text = ",".join(map(encode_basestring, islice(labels, _LABEL_SLICE)))
+        # Encoded here, so that a lone surrogate, which no UTF-8 file can
+        # hold, raises SnapshotError whatever ``out`` is.
+        try:
+            text.encode()
+        except UnicodeEncodeError:
+            raise SnapshotError("snapshots require labels that UTF-8 can encode") from None
+        out.write(text)
     out.write("]")
     for key, value in fields.items():
         out.write(f"\n{key} ")
@@ -222,7 +230,26 @@ def _read_fields(path: str | os.PathLike[str]) -> Tuple[str, Dict[str, object]]:
         except (ValueError, RecursionError):
             kinds = "JSON array" if key == "labels" else "int, hex float or uW:HEX list"
             raise SnapshotError(f"line {number}: {key!r} holds no {kinds}") from None
+        # A UTF-8 file holds no surrogate, so only a \uD800-\uDFFF escape
+        # can give a label one; a lone one would fail the next save.
+        if key == "labels" and ("\\ud" in raw or "\\uD" in raw):
+            _check_utf8(fields[key])
     return mode, fields
+
+
+def _check_utf8(labels: object) -> None:
+    """Raise SnapshotError if a label of the list ``labels`` holds a lone
+    surrogate, which UTF-8 cannot encode. An escaped pair such as
+    ``\\ud83d\\ude00`` decodes to one character and passes. A list that
+    holds anything but strs is left to load_snapshot's type check."""
+    if type(labels) is list:
+        try:
+            for _ in map(str.encode, labels):
+                pass
+        except UnicodeEncodeError as exc:
+            raise SnapshotError(f"bad snapshot: label {exc.object!r} holds a lone surrogate") from None
+        except TypeError:
+            pass
 
 
 def _lines(text: str) -> Iterator[str]:

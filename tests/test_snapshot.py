@@ -535,6 +535,36 @@ class TestErrors:
         with pytest.raises(SnapshotError, match="not valid UTF-8"):
             load_snapshot(path)
 
+    @pytest.mark.parametrize(
+        "label,message",
+        [
+            ('"label-0\\ud800"', "label '.*' holds a lone surrogate"),
+            ('"label-0\\uDC00"', "label '.*' holds a lone surrogate"),
+            ('"label-0\\ude00\\ud83d"', "label '.*' holds a lone surrogate"),
+            ('5,"label-0\\ud800"', "labels must be a JSON array of strings"),
+        ],
+        ids=["high", "low", "reversed-pair", "beside-an-int"],
+    )
+    def test_lone_surrogate_label_rejected_on_load(self, tmp_path, label, message):
+        """A JSON escape can give a label a lone surrogate, which UTF-8
+        cannot encode; such a state loaded, and its save failed later."""
+        est, interner, events = exact_fixture(20)
+        path = tmp_path / "state.snap"
+        save_snapshot(path, "exact", est, interner, events)
+        path.write_text(path.read_text().replace('"label-0"', label, 1))
+        with pytest.raises(SnapshotError, match=f"^bad snapshot: {message}$"):
+            load_snapshot(path)
+
+    def test_escaped_surrogate_pair_loads_as_one_character(self, tmp_path):
+        est, interner, events = exact_fixture(20)
+        path = tmp_path / "state.snap"
+        save_snapshot(path, "exact", est, interner, events)
+        path.write_text(path.read_text().replace('"label-0"', '"label-0\\ud83d\\uDE00"', 1))
+        loaded = load_snapshot(path)
+        assert "label-0\U0001f600" in loaded.interner
+        save_snapshot(tmp_path / "again.snap", "exact", loaded.estimator, loaded.interner, events)
+        assert load_snapshot(tmp_path / "again.snap").interner.labels == loaded.interner.labels
+
     def test_unknown_mode_on_save(self):
         out = io.StringIO()
         with pytest.raises(SnapshotError, match="unknown mode 'sideways'"):
@@ -571,6 +601,19 @@ class TestErrors:
             write_snapshot(out, "exact", est, interner, 1)
         assert out.getvalue() == ""
         self._check_failed_save_keeps_target(tmp_path, "exact", est, interner, 1, "^snapshots require str labels$")
+
+    @pytest.mark.parametrize("at", [0, 1, _LABEL_SLICE + 1], ids=["first", "second", "past-a-slice"])
+    def test_lone_surrogate_label_rejected_on_save(self, tmp_path, at):
+        """A label that UTF-8 cannot encode raised UnicodeEncodeError in
+        mid-file, and a text stream took it. It raises SnapshotError, and
+        no temp file is left."""
+        labels = [f"c{i}" for i in range(_LABEL_SLICE + 2)]
+        labels[at] += "\ud800"
+        est = feed(ExactEstimator(), [0, 1, at])
+        match = "^snapshots require labels that UTF-8 can encode$"
+        with pytest.raises(SnapshotError, match=match):
+            write_snapshot(io.StringIO(), "exact", est, Interner(labels), 3)
+        self._check_failed_save_keeps_target(tmp_path, "exact", est, Interner(labels), 3, match)
 
     @pytest.mark.parametrize("counts", [{0: 2**64}, {0: 1, 1: -1}], ids=["2**64", "negative"])
     def test_int_outside_every_width_rejected_on_save(self, tmp_path, counts):

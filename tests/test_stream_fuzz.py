@@ -103,10 +103,21 @@ def bad_positions(start_index, emit_every, length):
 def make_lines(rng, input_format, labels):
     pad = lambda: rng.choice(["", " ", "\t"])
     if input_format == "csv":
+        # The label, in column 1, is the middle field or the last, where
+        # the line end follows it.
         return [
-            f"{i},{pad()}{label}{pad()},x" + rng.choice(["\n", "\r\n"]) for i, label in enumerate(labels)
+            f"{i},{pad()}{label}{pad()}" + rng.choice([",x", ""]) + rng.choice(["\n", "\r\n", "\r"])
+            for i, label in enumerate(labels)
         ]
     return [f"{pad()}{label}{pad()}\n" for label in labels]
+
+
+# The bad lines of each kind: an empty label, in the middle field or the
+# last, and a row too short to hold column 1.
+BAD_LINES = {
+    "lines": {"empty": ["  \n"]},
+    "csv": {"empty": ["1, ,x\n", "1, \r\n", "1,\r", "1,\n"], "short": ["1\n", "1\r\n", "1\r"]},
+}
 
 
 def state_of(estimator):
@@ -139,7 +150,7 @@ def test_run_stream_matches_line_by_line(tmp_path, emit_every, input_format, sou
     lines = make_lines(rng, input_format, labels[start_index:])
     if bad is not None:
         at = rng.choice(bad_positions(start_index, emit_every, length))
-        lines[at] = {"empty": "1, ,x\n" if input_format == "csv" else "  \n", "short": "1\n"}[bad]
+        lines[at] = rng.choice(BAD_LINES[input_format][bad])
 
     cfg = RunConfig(mode="window", emit_every=emit_every, input_format=input_format, csv_column=1)
 
@@ -485,20 +496,25 @@ class OnlyIntern:
 @pytest.mark.parametrize("emit_every", [1, 1000])
 @pytest.mark.parametrize("duck", ["estimator", "interner", "both"])
 def test_duck_typed_estimator_and_interner_read_a_file(tmp_path, duck, emit_every):
+    # A text file, as perfbench's traced pass gives it with its per-call
+    # timers: the per-line loop needs observe, metrics and intern alone.
+    # Every case runs each of the three estimators.
     rng = random.Random(emit_every)
     path = tmp_path / "stream.txt"
     path.write_text("".join(f"c{rng.randrange(40)}\n" for _ in range(3000)), encoding="utf-8")
     cfg = RunConfig(mode="fading", emit_every=emit_every)
-    ref_estimator, ref_interner = FadingEstimator(0.99), Interner()
-    with path.open(encoding="utf-8") as f:
-        rows, _, summary = reference(cfg, f.readlines(), ref_estimator, ref_interner, 0)
-    estimator, interner = FadingEstimator(0.99), Interner()
-    out = io.StringIO()
-    with path.open("rb") as f:
-        given_estimator = estimator if duck == "interner" else OnlyObserve(estimator)
-        given_interner = interner if duck == "estimator" else OnlyIntern(interner)
-        result = run_stream(cfg, f, out, given_estimator, given_interner)
-    assert out.getvalue() == "".join(rows)
-    assert (result.events, result.classes) == summary[:2]
-    assert state_of(estimator) == state_of(ref_estimator)
-    assert interner.labels == ref_interner.labels
+    estimators = [lambda: FadingEstimator(0.99), lambda: SlidingWindowEstimator(50, refresh_period=7), ExactEstimator]
+    for make_estimator in estimators:
+        ref_estimator, ref_interner = make_estimator(), Interner()
+        with path.open(encoding="utf-8") as f:
+            rows, _, summary = reference(cfg, f.readlines(), ref_estimator, ref_interner, 0)
+        estimator, interner = make_estimator(), Interner()
+        out = io.StringIO()
+        with path.open(encoding="utf-8") as f:
+            given_estimator = estimator if duck == "interner" else OnlyObserve(estimator)
+            given_interner = interner if duck == "estimator" else OnlyIntern(interner)
+            result = run_stream(cfg, f, out, given_estimator, given_interner)
+        assert out.getvalue() == "".join(rows)
+        assert (result.events, result.classes) == summary[:2]
+        assert state_of(estimator) == state_of(ref_estimator)
+        assert interner.labels == ref_interner.labels

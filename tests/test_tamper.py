@@ -2,7 +2,8 @@
 
 A small state is saved in each mode. Variants of it drop, duplicate or swap
 lines, replace each numeric token with an extreme or malformed value, break
-or re-encode the hex of the int-list field, or cut the file after each line.
+or re-encode the hex of the int-list field, put surrogate escapes into a
+label, or cut the file after each line.
 Every variant must either end in exit 2 with one
 ``impurity-stream: error:`` line and no rows, or resume through 50 more labels
 with exit 0 and finite metrics (Gini in [0, 1], entropy >= 0), and then save
@@ -76,6 +77,11 @@ def _variants(lines):
             swapped[i], swapped[j] = swapped[j], swapped[i]
             yield f"swap {i} {j}", swapped
         if lines[i].startswith("labels "):
+            # JSON escapes of surrogates put before the first label: a lone
+            # one makes a label that no UTF-8 file can hold, a pair one
+            # character that it can.
+            for escapes in ("\\ud800", "\\uDFFF", "\\ude00\\ud83d", "\\ud83d\\ude00"):
+                yield f"line {i} label {escapes}", lines[:i] + [lines[i].replace('["', '["' + escapes, 1)] + lines[i + 1 :]
             continue
         for match in NUMBER.finditer(lines[i]):
             for value in REPLACEMENTS:
