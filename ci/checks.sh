@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The end-to-end shell checks that CI runs after the tier-1 tests, each a
-# pipeline of `python -m impurity_stream run` processes compared with cmp.
+# The end-to-end shell checks that CI runs after the tier-1 tests: pipelines
+# of `python -m impurity_stream run` processes compared with cmp, and the
+# shape of a `bench` report.
 # Run from anywhere, with the package not installed:
 #
 #     bash -e -o pipefail ci/checks.sh
@@ -135,5 +136,20 @@ for case in "1 window --window-size 1000 --refresh-every 10000" "1 fading --alph
   $run --input "$RUNNER_TEMP/tail.csv" --load-state "$RUNNER_TEMP/state.snap" >> "$RUNNER_TEMP/split.tsv"
   cmp "$RUNNER_TEMP/split.tsv" "$RUNNER_TEMP/whole.tsv"
 done
+
+echo "bench prints one row per mode, and refuses an unknown mode in one line"
+# Each mode times its estimator's observe_block at a row per event. The
+# report is a header and a row for each of window, fading and recompute,
+# 5 tab-separated fields each. An unknown mode is run_bench's error: exit
+# 1, one line on stderr and nothing on stdout.
+python -m impurity_stream bench --classes 10 --events 10000 --repeat 1 | cat > "$RUNNER_TEMP/bench.tsv"
+test "$(wc -l < "$RUNNER_TEMP/bench.tsv")" -eq 4
+test "$(awk -F '\t' 'NF == 5' "$RUNNER_TEMP/bench.tsv" | wc -l)" -eq 4
+code=0
+python -m impurity_stream bench --classes 10 --events 10000 --modes nope \
+  > "$RUNNER_TEMP/bench.out" 2> "$RUNNER_TEMP/bench.err" || code=$?
+test "$code" -eq 1
+test ! -s "$RUNNER_TEMP/bench.out"
+test "$(wc -l < "$RUNNER_TEMP/bench.err")" -eq 1
 
 echo "All checks passed"

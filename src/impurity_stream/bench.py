@@ -1,9 +1,12 @@
 """Micro-benchmark: incremental per-event updates vs full recomputation.
 
-Times how long one stream event costs (a) when the estimators advance their
-metrics incrementally and (b) when both metrics are recomputed from the
-class counts on every event. The incremental cost should be flat in the
-number of classes; the recomputation cost grows linearly with it.
+Times how long one stream event costs, metrics included, on the path that
+``impurity-stream run --emit-every 1`` takes: each estimator's
+``observe_block`` over blocks of the CLI's size, asked for a row after
+every event. The window and fading estimators advance both metrics
+incrementally; ``recompute`` is the ExactEstimator, which recomputes both
+from the class counts on every event. The incremental cost should be flat
+in the number of classes; the recomputation cost grows linearly with it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ import random
 import time
 from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence
 
-from .core import entropy_exact, gini_exact
+from .cli import _BLOCK
+from .core import ExactEstimator
 from .fading import FadingEstimator
+from .snapshot import Estimator
 from .window import SlidingWindowEstimator
 
 __all__ = ["BenchResult", "BENCH_MODES", "generate_labels", "run_bench", "format_report"]
@@ -38,42 +43,29 @@ def generate_labels(classes: int, events: int, seed: int = DEFAULT_SEED) -> List
     return [rng.randrange(classes) for _ in range(events)]
 
 
-def _time_per_event(
-    make_observe: Callable[[], Callable[[int], None]],
-    labels: Sequence[int],
-    repeat: int,
-) -> float:
+def _time_per_event(make: Callable[[], Estimator], labels: Sequence[int], repeat: int) -> float:
     """Best-of-``repeat`` wall time per event, in nanoseconds.
 
-    Each repetition runs on a fresh estimator; GC is paused inside the timed
-    loop to keep measurements clean.
+    Each repetition feeds ``labels`` to a fresh estimator's ``observe_block``
+    in blocks of ``_BLOCK``, with a row after every event; each block's rows
+    are dropped as its call returns. GC is paused inside the timed loop to
+    keep measurements clean.
     """
     best = math.inf
     for _ in range(repeat):
-        observe = make_observe()
+        observe_block = make().observe_block
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
             start = time.perf_counter()
-            for label in labels:
-                observe(label)
+            for seen in range(0, len(labels), _BLOCK):
+                observe_block(labels[seen : seen + _BLOCK], seen, 1)
             elapsed = time.perf_counter() - start
         finally:
             if gc_was_enabled:
                 gc.enable()
         best = min(best, elapsed)
     return best * 1e9 / len(labels)
-
-
-def _make_recompute_observe() -> Callable[[int], None]:
-    counts: Dict[int, int] = {}
-
-    def observe(label: int) -> None:
-        counts[label] = counts.get(label, 0) + 1
-        gini_exact(counts)
-        entropy_exact(counts)
-
-    return observe
 
 
 def run_bench(
@@ -97,17 +89,17 @@ def run_bench(
         raise ValueError("need at least one event")
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
-    labels = generate_labels(classes, events, seed)
-    factories: Dict[str, Callable[[], Callable[[int], None]]] = {
-        "window": lambda: SlidingWindowEstimator(window_size).observe,
-        "fading": lambda: FadingEstimator(alpha).observe,
-        "recompute": _make_recompute_observe,
+    factories: Dict[str, Callable[[], Estimator]] = {
+        "window": lambda: SlidingWindowEstimator(window_size),
+        "fading": lambda: FadingEstimator(alpha),
+        "recompute": ExactEstimator,
     }
     for mode in modes:
         if mode not in factories:
             raise ValueError(f"unknown bench mode {mode!r}")
         # An out-of-range window size or alpha raises here, before any timing.
         factories[mode]()
+    labels = generate_labels(classes, events, seed)
     return [
         BenchResult(mode, classes, events, _time_per_event(factories[mode], labels, repeat))
         for mode in modes

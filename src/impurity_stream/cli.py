@@ -38,10 +38,6 @@ EXIT_INPUT = 2
 MODES = tuple(ESTIMATORS)
 METRICS = ("gini", "entropy", "both")
 FORMATS = ("lines", "csv")
-# bench.BENCH_MODES and bench.DEFAULT_SEED, which the parser needs; bench
-# itself, with random, is imported only by the bench command.
-_BENCH_MODES = ("window", "fading", "recompute")
-_BENCH_SEED = 12345
 
 # The estimator flags of `run`: flag -> (its RunConfig field, the estimator
 # that takes it, the constructor parameter and attribute it sets, whether a
@@ -289,16 +285,18 @@ def _build_parser() -> _Parser:
     run_p.add_argument("--save-state", help="write estimator state here at stream end")
     run_p.add_argument("--load-state", help="resume from a previously saved state file")
 
-    bench_p = sub.add_parser("bench", help="time incremental updates vs full recomputation")
+    # A bench flag not given is left out, so run_bench's default applies; each
+    # flag's dest is the name of the run_bench parameter it sets.
+    bench_p = sub.add_parser(
+        "bench", help="time incremental updates vs full recomputation", argument_default=argparse.SUPPRESS
+    )
     bench_p.add_argument("--classes", type=int, required=True)
     bench_p.add_argument("--events", type=int, required=True)
-    bench_p.add_argument(
-        "--modes", nargs="+", choices=_BENCH_MODES, default=list(_BENCH_MODES)
-    )
-    bench_p.add_argument("--window-size", type=int, default=1000)
-    bench_p.add_argument("--alpha", type=float, default=0.99)
-    bench_p.add_argument("--seed", type=int, default=_BENCH_SEED)
-    bench_p.add_argument("--repeat", type=int, default=3)
+    bench_p.add_argument("--modes", nargs="+", help="any of window, fading and recompute (default: all three)")
+    bench_p.add_argument("--window-size", type=int)
+    bench_p.add_argument("--alpha", type=float)
+    bench_p.add_argument("--seed", type=int)
+    bench_p.add_argument("--repeat", type=int)
     return parser
 
 
@@ -426,16 +424,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     out = _stdout()
     from .bench import format_report, run_bench
 
+    given = {name: value for name, value in vars(args).items() if name != "command"}
     try:
-        results = run_bench(
-            args.classes,
-            args.events,
-            args.modes,
-            window_size=args.window_size,
-            alpha=args.alpha,
-            seed=args.seed,
-            repeat=args.repeat,
-        )
+        results = run_bench(**given)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     out.write(format_report(results))

@@ -146,6 +146,10 @@ class Interner:
         return list(map(self._ids.__getitem__, labels))
 
     def label_of(self, class_id: int) -> str:
+        """The label interned as ``class_id``; IndexError for an id that no
+        label has, a negative one included."""
+        if class_id < 0:
+            raise IndexError(f"class id {class_id} is negative")
         return self._ids.labels[class_id]
 
     @property

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from impurity_stream import ExactEstimator, FadingEstimator
 from impurity_stream.bench import (
     BENCH_MODES,
     BenchResult,
@@ -26,6 +27,18 @@ def test_run_bench_times_all_modes():
         assert r.classes == 3
         assert r.events == 2000
         assert r.ns_per_event > 0.0
+
+
+def test_run_bench_times_observe_block(monkeypatch):
+    # The window is left alone: its observe_block calls its observe for
+    # every one-label run, which is every run at a row per event.
+    def observe(self, label):
+        raise AssertionError("observe() was timed")
+
+    monkeypatch.setattr(FadingEstimator, "observe", observe)
+    monkeypatch.setattr(ExactEstimator, "observe", observe)
+    results = run_bench(3, 2000, modes=["fading", "recompute"], repeat=1)
+    assert [r.mode for r in results] == ["fading", "recompute"]
 
 
 def test_run_bench_validates_arguments():

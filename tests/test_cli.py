@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import io
 import os
 import random
@@ -14,7 +15,7 @@ import pytest
 
 from conftest import hex_ints
 from impurity_stream import ExactEstimator, FadingEstimator, Interner, SlidingWindowEstimator
-from impurity_stream.bench import BENCH_MODES, DEFAULT_SEED
+from impurity_stream.bench import run_bench
 from impurity_stream.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -307,12 +308,16 @@ class TestUsageErrors:
             ["bench", "--classes", "5", "--events", "10000", "--alpha", "2.0"],
             ["bench", "--classes", "5", "--events", "10000", "--window-size", "0"],
             [],
+            ["bench", "--classes", "5", "--events", "10000", "--modes", "window", "nope"],
         ],
     )
     def test_bad_invocations_exit_one(self, cli, argv):
-        code, _, err = cli(argv)
+        code, rows, err = cli(argv)
         assert code == EXIT_USAGE
-        assert "error" in err
+        assert rows == []
+        assert err.splitlines()[-1].startswith("impurity-stream: error:")
+        if "nope" in argv:
+            assert err == "impurity-stream: error: unknown bench mode 'nope'\n"
 
     def test_bench_ignores_flags_of_modes_it_does_not_run(self, cli):
         code, rows, err = cli(
@@ -388,14 +393,21 @@ class TestStdinStdout:
         monkeypatch.setattr(sys, "stdout", None)
         assert main(["bench", "--classes", "5", "--events", "10000"]) == EXIT_INPUT
 
-    def test_bench_defaults_are_the_bench_module_defaults(self, monkeypatch, capsys):
-        # The parser names the modes and the seed without importing bench.
+    def test_bench_leaves_the_defaults_to_run_bench(self, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr("impurity_stream.bench.run_bench", lambda *a, **k: calls.append((a, k)) or [])
         assert main(["bench", "--classes", "5", "--events", "10000"]) == EXIT_OK
-        ((_, _, modes), kwargs) = calls[0]
-        assert modes == list(BENCH_MODES)
-        assert kwargs["seed"] == DEFAULT_SEED
+        assert calls == [((), {"classes": 5, "events": 10000})]
+        capsys.readouterr()
+
+    def test_bench_passes_each_flag_by_its_parameter_name(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr("impurity_stream.bench.run_bench", lambda *a, **k: calls.append((a, k)) or [])
+        flags = ["--modes", "fading", "window", "--window-size", "7", "--alpha", "0.5", "--seed", "3", "--repeat", "2"]
+        assert main(["bench", "--classes", "5", "--events", "10000", *flags]) == EXIT_OK
+        given = {"modes": ["fading", "window"], "window_size": 7, "alpha": 0.5, "seed": 3, "repeat": 2}
+        assert calls == [((), {"classes": 5, "events": 10000, **given})]
+        assert set(calls[0][1]) == set(inspect.signature(run_bench).parameters)
         capsys.readouterr()
 
     @pytest.mark.parametrize(

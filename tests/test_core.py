@@ -159,6 +159,11 @@ class TestInterner:
         assert interner.labels == ("a", "b")
         assert "a" in interner and "z" not in interner
 
+    @pytest.mark.parametrize("class_id", [-1, -2, 2])
+    def test_label_of_an_id_no_label_has_raises(self, class_id):
+        with pytest.raises(IndexError):
+            Interner(["a", "b"]).label_of(class_id)
+
     def test_intern_many_matches_intern(self):
         batched, single = Interner(["x"]), Interner(["x"])
         # New labels, each repeated inside the block, between known ones.
