@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The end-to-end shell checks that CI runs after the tier-1 tests: pipelines
-# of `python -m impurity_stream run` processes compared with cmp, and the
-# shape of a `bench` report.
+# of `python -m impurity_stream run` processes compared with cmp, the rows
+# and errors of its writer process, and the shape of a `bench` report.
 # Run from anywhere, with the package not installed:
 #
 #     bash -e -o pipefail ci/checks.sh
@@ -135,6 +135,43 @@ for case in "1 window --window-size 1000 --refresh-every 10000" "1 fading --alph
     | awk -v every="$every" '($1 + 1) % every == 0' > "$RUNNER_TEMP/split.tsv"
   $run --input "$RUNNER_TEMP/tail.csv" --load-state "$RUNNER_TEMP/state.snap" >> "$RUNNER_TEMP/split.tsv"
   cmp "$RUNNER_TEMP/split.tsv" "$RUNNER_TEMP/whole.tsv"
+done
+
+echo "Rows past the writer handoff are the rows of runs that write their own"
+# A run writes its first 16384 rows itself and forks a writer process for
+# the rest. Four resumed parts of 10000 labels each stay below the handoff,
+# so their rows are formatted in process; --output, a stdout pipe, and a
+# split after label 23456 and resumed must write the same bytes. A failed
+# write ends in one error line and exit code 2: >/dev/full and head -c 10
+# fail before the handoff, head -c 1000000 in the writer.
+LABELS="import random, sys; r = random.Random(24); labels = ['c%d\n' % r.randrange(300) for _ in range(40000)]; sys.stdout.write(''.join(labels[int(sys.argv[1]):int(sys.argv[2])]))"
+for mode in "fading --alpha 0.999" "window --window-size 1000 --refresh-every 10000"; do
+  run="python -m impurity_stream run --emit-every 1 --mode $mode"
+  state="$RUNNER_TEMP/state.snap"
+  : > "$RUNNER_TEMP/parts.tsv"
+  python -c "$LABELS" 0 10000 | $run --save-state "$state" >> "$RUNNER_TEMP/parts.tsv"
+  for start in 10000 20000 30000; do
+    python -c "$LABELS" $start $((start + 10000)) | $run --load-state "$state" --save-state "$state" >> "$RUNNER_TEMP/parts.tsv"
+  done
+  test "$(wc -l < "$RUNNER_TEMP/parts.tsv")" -eq 40000
+  python -c "$LABELS" 0 40000 > "$RUNNER_TEMP/labels.txt"
+  $run --input "$RUNNER_TEMP/labels.txt" --output "$RUNNER_TEMP/written.tsv"
+  cmp "$RUNNER_TEMP/written.tsv" "$RUNNER_TEMP/parts.tsv"
+  python -c "$LABELS" 0 40000 | $run | cat > "$RUNNER_TEMP/piped.tsv"
+  cmp "$RUNNER_TEMP/piped.tsv" "$RUNNER_TEMP/parts.tsv"
+  python -c "$LABELS" 0 23456 | $run --save-state "$state" > "$RUNNER_TEMP/split.tsv"
+  python -c "$LABELS" 23456 40000 | $run --load-state "$state" >> "$RUNNER_TEMP/split.tsv"
+  cmp "$RUNNER_TEMP/split.tsv" "$RUNNER_TEMP/parts.tsv"
+  code=0
+  $run --input "$RUNNER_TEMP/labels.txt" > /dev/full 2> "$RUNNER_TEMP/err.txt" || code=$?
+  test "$code" -eq 2
+  test "$(wc -l < "$RUNNER_TEMP/err.txt")" -eq 1
+  for keep in 10 1000000; do
+    code=0
+    $run --input "$RUNNER_TEMP/labels.txt" 2> "$RUNNER_TEMP/err.txt" | head -c $keep > /dev/null || code=$?
+    test "$code" -eq 2
+    test "$(wc -l < "$RUNNER_TEMP/err.txt")" -eq 1
+  done
 done
 
 echo "bench prints one row per mode, and refuses an unknown mode in one line"

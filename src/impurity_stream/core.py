@@ -157,10 +157,11 @@ class Interner:
         return tuple(self._ids.labels)
 
     @property
-    def ids(self) -> Tuple[int, ...]:
+    def ids(self) -> List[int]:
         """Each label's id object, in id order: a loaded window maps its ids
-        onto these, so it holds one int per class, as a run does."""
-        return tuple(self._ids.values())
+        onto these, so it holds one int per class, as a run does. A list,
+        which indexes faster than a tuple; each call gives a new one."""
+        return list(self._ids.values())
 
     def __iter__(self) -> Iterator[str]:
         """The labels in id order, without a copy."""

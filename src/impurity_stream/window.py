@@ -200,17 +200,26 @@ class SlidingWindowEstimator:
 
         Each run of labels up to such an event goes to observe_many(), or
         to observe() when it is one label long: observe_many() costs more
-        to set up than one observe().
+        to set up than one observe(). At ``every`` 1 each label goes to
+        observe() with no run to slice.
         """
+        observe, metrics = self.observe, self.metrics
         rows: List[float] = []
+        if every == 1:
+            append, extend = rows.append, rows.extend
+            for index, label in enumerate(labels, seen):
+                observe(label)
+                append(index)
+                extend(metrics())
+            return rows
         start = 0
         end = every - seen % every
         while end <= len(labels):
             if end - start == 1:
-                self.observe(labels[start])
+                observe(labels[start])
             else:
                 self.observe_many(labels[start:end])
-            rows += (seen + end - 1, *self.metrics())
+            rows += (seen + end - 1, *metrics())
             start = end
             end += every
         if start < len(labels):

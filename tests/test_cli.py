@@ -7,8 +7,10 @@ import io
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -334,19 +336,28 @@ class TestUsageErrors:
         capsys.readouterr()
 
 
-def _spawn(argv, data=b"", redirect="", cwd=None):
-    """Run the CLI in a new process with ``data`` on its stdin; ``redirect``
-    is a shell redirection, such as ``<&-``, applied to it. Its stdout is a
-    pipe, block-buffered whatever PYTHONUNBUFFERED says here."""
+def _env():
+    """The environment of a CLI process: this checkout's package, the info
+    log level, and stdout block-buffered whatever PYTHONUNBUFFERED says here."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src, "IMPURITY_STREAM_LOG": "info"}
     env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _spawn(argv, data=b"", redirect="", cwd=None):
+    """Run the CLI in a new process with ``data`` on its stdin; ``redirect``
+    is a shell redirection, such as ``<&-``, applied to it. Its stdout is a
+    pipe. The call returns once the process has exited and its stdout and
+    stderr have reached their end, which no process left running would
+    allow within the timeout."""
     return subprocess.run(
         ["sh", "-c", f'"$@" {redirect}', "sh", sys.executable, "-m", "impurity_stream", *argv],
         input=data,
         capture_output=True,
         cwd=cwd,
-        env=env,
+        env=_env(),
+        timeout=120,
     )
 
 
@@ -1111,6 +1122,220 @@ class TestConsoleMain:
         assert {"impurity_stream.cli", "argparse"} <= imported
         assert imported.isdisjoint({"json", "impurity_stream.bench", "random", "array"})
         assert err.endswith("INFO: events=0 distinct_classes=0 gini=0.000000000 entropy=0.000000000\n")
+
+
+_HANDOFF = 16384
+
+
+def _labels_file(path, count, bad_line=None):
+    """``count`` labels over 50 classes, one a line, with line ``bad_line``
+    (counted from 1) left empty."""
+    rng = random.Random(count)
+    lines = [f"c{rng.randrange(50)}\n" for _ in range(count)]
+    if bad_line is not None:
+        lines[bad_line - 1] = "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def _in_process_rows(cfg, path, estimator):
+    """The rows run_stream writes to a text file from ``path``, formatted in
+    this process, and the error it raised, if any."""
+    out = io.StringIO()
+    try:
+        with open(path, "rb") as source:
+            run_stream(cfg, source, out, estimator, Interner())
+    except InputError as exc:
+        return out.getvalue().encode(), str(exc)
+    return out.getvalue().encode(), None
+
+
+class TestRowWriter:
+    """A CLI run that emits more than _HANDOFF rows to a file descriptor
+    formats and writes the rest in a forked writer process: the same bytes,
+    errors and states as one process."""
+
+    @pytest.mark.parametrize(
+        "mode,metric",
+        [
+            (["fading", "--alpha", "0.999"], "both"),
+            (["fading", "--alpha", "0.999"], "gini"),
+            (["fading", "--alpha", "0.999"], "entropy"),
+            (["window", "--window-size", "1000"], "gini"),
+            (["exact"], "entropy"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_rows_across_the_handoff_are_run_streams(self, tmp_path, mode, metric):
+        labels = _labels_file(tmp_path / "labels.txt", 2 * _HANDOFF + 100)
+        estimator = {"fading": lambda: FadingEstimator(0.999), "window": lambda: SlidingWindowEstimator(1000)}
+        cfg = RunConfig(mode=mode[0], metric=metric)
+        expected, _ = _in_process_rows(cfg, labels, estimator.get(mode[0], ExactEstimator)())
+        assert expected.count(b"\n") == 2 * _HANDOFF + 100
+        argv = ["run", "--mode", *mode, "--metric", metric, "--input", str(labels)]
+        piped = _spawn(argv)
+        written = _spawn([*argv, "--output", str(tmp_path / "out.tsv")])
+        for proc in (piped, written):
+            assert proc.returncode == EXIT_OK, proc.stderr
+            assert proc.stderr.decode().count("\n") == 1
+        assert piped.stdout == expected
+        assert (tmp_path / "out.tsv").read_bytes() == expected
+
+    @pytest.mark.parametrize("bad_line", [1000, _HANDOFF + 5000], ids=["before", "after"])
+    def test_a_bad_line_ends_the_run_after_its_rows(self, tmp_path, bad_line):
+        labels = _labels_file(tmp_path / "labels.txt", 2 * _HANDOFF, bad_line)
+        cfg = RunConfig(mode="fading", alpha=0.999)
+        expected, message = _in_process_rows(cfg, labels, FadingEstimator(0.999))
+        assert expected.count(b"\n") == bad_line - 1
+        state = tmp_path / "state.snap"
+        state.write_bytes(b"old state\n")
+        proc = _spawn(
+            ["run", "--mode", "fading", "--alpha", "0.999", "--input", str(labels), "--save-state", str(state)]
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stdout == expected
+        assert proc.stderr.decode() == f"impurity-stream: error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.txt", "state.snap"]
+        assert state.read_bytes() == b"old state\n"
+
+    @pytest.mark.parametrize("redirect", [">/dev/full", ">&-"], ids=["dev-full", "closed-stdout"])
+    def test_an_unwritable_stdout_is_one_error_line(self, tmp_path, redirect):
+        labels = _labels_file(tmp_path / "labels.txt", 2 * _HANDOFF)
+        state = tmp_path / "state.snap"
+        state.write_bytes(b"old state\n")
+        argv = ["run", "--mode", "fading", "--alpha", "0.999", "--input", str(labels), "--save-state", str(state)]
+        proc = _spawn(argv, redirect=redirect)
+        err = proc.stderr.decode()
+        assert proc.returncode == EXIT_INPUT, err
+        assert err.startswith("impurity-stream: error:") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.txt", "state.snap"]
+        assert state.read_bytes() == b"old state\n"
+
+    @pytest.mark.parametrize("keep", [10, 1_000_000], ids=["in-process", "writer"])
+    def test_a_reader_that_stops_is_one_error_line(self, tmp_path, keep):
+        """As ``| head -c KEEP``: the reader takes ``keep`` bytes and closes
+        the pipe. 10 bytes end the run before the handoff; a million, about
+        36000 rows, end it in the writer, whose error line and exit code the
+        run reports in place of its own."""
+        labels = _labels_file(tmp_path / "labels.txt", 3 * _HANDOFF)
+        state = tmp_path / "state.snap"
+        argv = ["run", "--mode", "fading", "--alpha", "0.999", "--input", str(labels), "--save-state", str(state)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "impurity_stream", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_env(),
+        )
+        try:
+            assert len(proc.stdout.read(keep)) == keep
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        finally:
+            proc.stderr.close()
+            code = proc.wait(timeout=120)
+        assert code == EXIT_INPUT, err
+        assert err == "impurity-stream: error: [Errno 32] Broken pipe\n"
+        assert not state.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.txt"]
+
+    def test_a_killed_run_ends_its_writer(self, tmp_path):
+        """The writer reads its rows from a pipe that only the run writes to:
+        when the run is killed, the writer meets the end of the pipe, writes
+        the rows it has and exits, and the run's stdout reaches its end."""
+        labels = _labels_file(tmp_path / "labels.txt", 2 * _HANDOFF).read_bytes()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "impurity_stream", "run", "--mode", "fading", "--alpha", "0.999"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=_env(),
+        )
+        # Fed from a thread, which finishes once the run has read every
+        # label; stdin stays open, so the run then waits for more.
+        feeder = threading.Thread(target=proc.stdin.write, args=(labels,))
+        feeder.start()
+        try:
+            rows = b""
+            while rows.count(b"\n") <= _HANDOFF + 256:
+                chunk = proc.stdout.read1(65536)
+                assert chunk, "stdout ended before the writer wrote a row"
+                rows += chunk
+            feeder.join(timeout=120)
+            proc.kill()
+            assert proc.wait(timeout=120) == -9
+            rest = []
+            reader = threading.Thread(target=lambda: rest.append(proc.stdout.read()), daemon=True)
+            reader.start()
+            reader.join(timeout=60)
+            assert rest, "stdout still open after the run was killed"
+            assert (rows + rest[0]).endswith(b"\n")
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdin.close()
+            proc.stdout.close()
+
+    @pytest.mark.parametrize("rows,forks", [(_HANDOFF - 100, 0), (_HANDOFF + 100, 1)])
+    def test_main_forks_once_past_the_handoff(self, tmp_path, monkeypatch, rows, forks):
+        """main() in process forks, once, only when it emits more than
+        _HANDOFF rows to a file descriptor; the rows are those of run_stream."""
+        labels = _labels_file(tmp_path / "labels.txt", rows)
+        expected, _ = _in_process_rows(RunConfig(mode="fading", alpha=0.999), labels, FadingEstimator(0.999))
+        pids = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+        argv = ["run", "--mode", "fading", "--alpha", "0.999", "--input", str(labels), "--output", str(tmp_path / "out.tsv")]
+        assert main(argv) == EXIT_OK
+        assert len(pids) == forks
+        assert (tmp_path / "out.tsv").read_bytes() == expected
+
+    @pytest.mark.parametrize("platform", ["no-fork", "failed-fork", "no-descriptor"])
+    def test_rows_stay_in_process_without_a_fork(self, tmp_path, monkeypatch, capsys, platform):
+        """Where os.fork is missing or fails, or ``out`` has no descriptor,
+        such as the stdout that capsys gives main(), the run writes every
+        row itself."""
+        labels = _labels_file(tmp_path / "labels.txt", 2 * _HANDOFF)
+        expected, _ = _in_process_rows(RunConfig(mode="fading", alpha=0.999), labels, FadingEstimator(0.999))
+        if platform == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked") if platform == "no-descriptor" else _eagain())
+        argv = ["run", "--mode", "fading", "--alpha", "0.999", "--input", str(labels)]
+        if platform != "no-descriptor":
+            argv += ["--output", str(tmp_path / "out.tsv")]
+        assert main(argv) == EXIT_OK
+        written = capsys.readouterr().out.encode()
+        if platform != "no-descriptor":
+            written = (tmp_path / "out.tsv").read_bytes()
+        assert written == expected
+
+
+    @pytest.mark.parametrize(
+        "end,code,err",
+        [
+            (lambda: os._exit(3), 3, ""),
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), EXIT_INPUT, "the row writer was ended by signal 9"),
+        ],
+        ids=["exit-3", "killed"],
+    )
+    def test_the_writers_end_is_the_runs(self, tmp_path, monkeypatch, capsys, end, code, err):
+        """A writer that exits with a code has written its own error line, so
+        the run exits with that code and writes none; one that a signal ends
+        is named in the run's line. Either way no state is saved."""
+        labels = _labels_file(tmp_path / "labels.txt", 2 * _HANDOFF)
+        state = tmp_path / "state.snap"
+        state.write_bytes(b"old state\n")
+        # The forked writer runs this in place of its loop.
+        monkeypatch.setattr("impurity_stream.cli._write_frames", lambda *args: end())
+        argv = ["run", "--mode", "fading", "--alpha", "0.999", "--input", str(labels), "--save-state", str(state)]
+        assert main([*argv, "--output", str(tmp_path / "out.tsv")]) == code
+        assert capsys.readouterr().err == (f"impurity-stream: error: {err}\n" if err else "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.txt", "out.tsv", "state.snap"]
+        assert state.read_bytes() == b"old state\n"
+
+
+def _eagain():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
 
 
 class TestExternalEntryPoints:

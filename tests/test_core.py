@@ -179,7 +179,7 @@ class TestInterner:
         interner = Interner(f"label-{i}" for i in range(300))
         assert interner.intern_many(["new", "label-299", "newer"]) == [300, 299, 301]
         assert list(interner) == [f"label-{i}" for i in range(300)] + ["new", "newer"]
-        assert interner.ids == tuple(range(302))
+        assert interner.ids == list(range(302))
         assert all(interner.intern(label) is class_id for label, class_id in zip(interner, interner.ids))
 
     def test_repr_counts_labels(self):
