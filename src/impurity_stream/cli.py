@@ -83,15 +83,6 @@ class InputError(Exception):
     """Malformed stream input, an unusable state file or no stdout (exit code 2)."""
 
 
-class _WriterFailed(Exception):
-    """The row writer process exited with ``code`` after writing its own
-    error line."""
-
-    def __init__(self, code: int) -> None:
-        super().__init__(code)
-        self.code = code
-
-
 class RunConfig(NamedTuple):
     mode: str
     metric: str = "both"
@@ -430,7 +421,7 @@ class _RowWriter:
 
     close() ends the pipe and waits for the writer; leaving the ``with``
     block does too, whether or not it raised. If the writer failed, which it
-    reports in its own error line, close() raises _WriterFailed with its exit
+    reports in its own error line, close() raises SystemExit with its exit
     code, and InputError if a signal ended it.
     """
 
@@ -462,17 +453,14 @@ class _RowWriter:
         self.left = left
 
     def _fork(self) -> None:
-        """Start the writer, unless the pipe or the fork fails."""
+        """Start the writer; if the fork fails, the rows stay in process."""
         self.out.flush()
         if sys.stderr is not None:
             sys.stderr.flush()
-        try:
-            read_end, write_end = os.pipe()
-        except OSError:
-            return
+        read_end, write_end = os.pipe()
         try:
             pid = os.fork()
-        except OSError:
+        except OSError:  # such as EAGAIN at a process limit
             os.close(read_end)
             os.close(write_end)
             return
@@ -496,7 +484,7 @@ class _RowWriter:
         if code < 0:
             raise InputError(f"the row writer was ended by signal {-code}")
         if code:
-            raise _WriterFailed(code)
+            raise SystemExit(code)  # main() returns it; the writer wrote the error line
 
     def __enter__(self) -> "_RowWriter":
         return self
@@ -596,15 +584,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         _say("error", str(exc))
         return EXIT_USAGE
-    except _WriterFailed as exc:
-        return exc.code
     except UnicodeDecodeError as exc:
         _say("error", f"input is not valid UTF-8: {exc}")
         return EXIT_INPUT
     except (InputError, SnapshotError, OSError) as exc:
         _say("error", str(exc))
         return EXIT_INPUT
-    except SystemExit as exc:  # argparse --help
+    except SystemExit as exc:  # argparse --help, or a failed row writer's code
         return exc.code if isinstance(exc.code, int) else EXIT_OK
 
 

@@ -1309,7 +1309,6 @@ class TestRowWriter:
             written = (tmp_path / "out.tsv").read_bytes()
         assert written == expected
 
-
     @pytest.mark.parametrize(
         "end,code,err",
         [
