@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -1229,11 +1230,12 @@ class TestRowWriter:
         try:
             assert len(proc.stdout.read(keep)) == keep
             proc.stdout.close()
-            err = proc.stderr.read().decode()
+            err = proc.communicate(timeout=120)[1].decode()
         finally:
+            proc.kill()
+            proc.wait()
             proc.stderr.close()
-            code = proc.wait(timeout=120)
-        assert code == EXIT_INPUT, err
+        assert proc.returncode == EXIT_INPUT, err
         assert err == "impurity-stream: error: [Errno 32] Broken pipe\n"
         assert not state.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.txt"]
@@ -1250,25 +1252,35 @@ class TestRowWriter:
             stderr=subprocess.DEVNULL,
             env=_env(),
         )
-        # Fed from a thread, which finishes once the run has read every
-        # label; stdin stays open, so the run then waits for more.
+        # Stdin is fed and stdout drained from threads, so neither pipe fills
+        # whatever its size. The feeder finishes once the run has read every
+        # label; stdin stays open, so the run then waits for more. The reader
+        # finishes when stdout reaches its end. It reads the descriptor, not
+        # the buffered file, so closing the file below never waits for it.
+        chunks = []
+        stdout = proc.stdout.fileno()
+
+        def drain():
+            while chunk := os.read(stdout, 65536):
+                chunks.append(chunk)
+
         feeder = threading.Thread(target=proc.stdin.write, args=(labels,))
+        reader = threading.Thread(target=drain, daemon=True)
         feeder.start()
+        reader.start()
         try:
-            rows = b""
-            while rows.count(b"\n") <= _HANDOFF + 256:
-                chunk = proc.stdout.read1(65536)
-                assert chunk, "stdout ended before the writer wrote a row"
-                rows += chunk
             feeder.join(timeout=120)
+            assert not feeder.is_alive(), "the run stopped reading its stdin"
+            deadline = time.monotonic() + 120
+            while sum(chunk.count(b"\n") for chunk in chunks) <= _HANDOFF + 256:
+                assert reader.is_alive(), "stdout ended before the writer wrote a row"
+                assert time.monotonic() < deadline, "the writer wrote no row past the handoff"
+                time.sleep(0.01)
             proc.kill()
             assert proc.wait(timeout=120) == -9
-            rest = []
-            reader = threading.Thread(target=lambda: rest.append(proc.stdout.read()), daemon=True)
-            reader.start()
             reader.join(timeout=60)
-            assert rest, "stdout still open after the run was killed"
-            assert (rows + rest[0]).endswith(b"\n")
+            assert not reader.is_alive(), "stdout still open after the run was killed"
+            assert b"".join(chunks).endswith(b"\n")
         finally:
             proc.kill()
             proc.wait()
