@@ -65,6 +65,38 @@ for case in "1 fading --alpha 0.999" "1 window --window-size 1000 --refresh-ever
   cmp "$RUNNER_TEMP/split.tsv" "$RUNNER_TEMP/whole.tsv"
 done
 
+echo "A window run split over two processes writes the rows of one"
+# A window run over a regular file that emits at most one row every 4
+# events observes the lines past its middle in a second process, which
+# first reads the window's 1000 lines before them; a pipe, and a row per
+# event, are read in one process. The rows and the saved states of a
+# file and a pipe must be the same bytes, at a row per 1000 events, per
+# 4, past the writer handoff, and per event. With line 250000 left
+# empty, in the second half, both end in the same error line with exit
+# code 2.
+python -c "$LABELS" > "$RUNNER_TEMP/labels.txt"
+sed '250000s/.*//' "$RUNNER_TEMP/labels.txt" > "$RUNNER_TEMP/bad.txt"
+run="python -m impurity_stream run --mode window --window-size 1000 --refresh-every 10000"
+for every in 1000 4 1; do
+  $run --emit-every $every --input "$RUNNER_TEMP/labels.txt" --save-state "$RUNNER_TEMP/file.snap" \
+    > "$RUNNER_TEMP/file.tsv"
+  cat "$RUNNER_TEMP/labels.txt" | $run --emit-every $every --save-state "$RUNNER_TEMP/pipe.snap" \
+    > "$RUNNER_TEMP/pipe.tsv"
+  test "$(wc -l < "$RUNNER_TEMP/file.tsv")" -eq $((300000 / every))
+  cmp "$RUNNER_TEMP/file.tsv" "$RUNNER_TEMP/pipe.tsv"
+  cmp "$RUNNER_TEMP/file.snap" "$RUNNER_TEMP/pipe.snap"
+  given=0; $run --emit-every $every --input "$RUNNER_TEMP/bad.txt" > "$RUNNER_TEMP/file.tsv" \
+    2> "$RUNNER_TEMP/file.err" || given=$?
+  piped=0; cat "$RUNNER_TEMP/bad.txt" | $run --emit-every $every > "$RUNNER_TEMP/pipe.tsv" \
+    2> "$RUNNER_TEMP/pipe.err" || piped=$?
+  test "$given" -eq 2
+  test "$piped" -eq 2
+  test "$(cat "$RUNNER_TEMP/file.err")" = "impurity-stream: error: line 250000: empty label"
+  cmp "$RUNNER_TEMP/file.err" "$RUNNER_TEMP/pipe.err"
+  test "$(wc -l < "$RUNNER_TEMP/file.tsv")" -eq $((249999 / every))
+  cmp "$RUNNER_TEMP/file.tsv" "$RUNNER_TEMP/pipe.tsv"
+done
+
 echo "A state saved after a load with no new events is the file it came from"
 # load_snapshot and write_snapshot each hold about one copy of a state,
 # and the labels and each uW field are written a slice at a time. A state

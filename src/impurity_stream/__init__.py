@@ -32,7 +32,7 @@ from .entropy import EntropyState
 from .fading import FadingEstimator
 from .gini import GiniState
 from .snapshot import LoadedSnapshot, SnapshotError, load_snapshot, save_snapshot
-from .window import SlidingWindowEstimator
+from .window import RefreshError, SlidingWindowEstimator
 
 __version__ = "0.1.0"
 
@@ -43,6 +43,7 @@ __all__ = [
     "GiniState",
     "Interner",
     "LoadedSnapshot",
+    "RefreshError",
     "SlidingWindowEstimator",
     "SnapshotError",
     "entropy_exact",

@@ -18,6 +18,12 @@ to a file descriptor, on a platform with ``os.fork``, it forks one writer
 process, which formats and writes the rest while the run reads and observes
 on: the same bytes, on a second core. The run waits for the writer before
 it saves a state or returns.
+
+A window ``run`` over a regular file that is long against its window, with
+at most one row every 4 events, forks, before it reads, a second process
+that observes the lines past the file's middle byte, and adopts that
+process's end state once it has observed the lines before them (see
+_Split). Its rows, errors and states are those of one process.
 """
 
 from __future__ import annotations
@@ -28,13 +34,15 @@ import contextlib
 import io
 import marshal
 import os
+import stat
 import sys
-from typing import BinaryIO, Callable, Iterable, Iterator, List, NamedTuple, NoReturn, Optional, TextIO, Union
+from itertools import chain
+from typing import BinaryIO, Callable, Iterable, Iterator, List, NamedTuple, NoReturn, Optional, TextIO, Tuple, Union
 
 from .core import Interner
 from .fading import FadingEstimator
 from .snapshot import ESTIMATORS, Estimator, LoadedSnapshot, SnapshotError, load_snapshot, replacing, write_snapshot
-from .window import SlidingWindowEstimator
+from .window import RefreshError, SlidingWindowEstimator
 
 __all__ = ["main", "console_main", "run_stream", "RunConfig", "RunSummary"]
 
@@ -70,6 +78,29 @@ _BLOCK = 256
 # about 1.2 ms, so a run that writes fewer rows, and a set-up over empty
 # input, never pays it.
 _HANDOFF = 16384
+
+# A window run over a regular file splits only if at least 3 * w +
+# _SPLIT_MIN lines come before the split line. A split saves about the
+# second half's lines, at about 280 ns a line on window-zipf, and costs the
+# w lines that the second process reads again, the w labels of its window
+# that the run observes again (about 170 ns each), a fork with its wait
+# (about 1.3 ms) and the scan (about 1.2 ns a byte). Over window-zipf's 500k
+# lines, a split run was about 40 ms slower at w = 200000, even at 100000
+# and 25 ms faster at 60000, hence three windows; 16384 more lines pay for
+# the fork and the scan about twice over.
+_SPLIT_MIN = 16384
+# A window run that emits rows more often than every _SPLIT_EVERY events does
+# not split: its row writer keeps most of the second core busy, and a third
+# process only competes with the two. Over window-zipf's 500k labels at
+# w = 1000, written to a file, a split run took 3-7% more time at
+# --emit-every 1 (4 of 10 alternating pairs won, twice), was even at 2 (5 of
+# 10) and took 16% less at 4 (8 of 10).
+_SPLIT_EVERY = 4
+# The bytes of each os.pread with which a split run scans its input.
+_SCAN = 1 << 16
+# The bytes of rows the second process of a split run may send ahead of the
+# run, in frames of about 24 bytes a row: Linux's default largest pipe.
+_PIPE = 1 << 20
 
 # The diagnostics each IMPURITY_STREAM_LOG value shows.
 _LOG_LEVELS = {"quiet": (), "info": ("WARNING", "INFO"), "debug": ("WARNING", "INFO", "DEBUG")}
@@ -139,9 +170,7 @@ def run_stream(
     very start of the stream, so resumed runs keep the original cadence) and
     a final row at stream end if the last event was not already emitted.
     Rows are formatted with ``_ROWS`` and go straight to ``out``, which does
-    its own buffering; the CLI passes a ``_RowWriter`` instead, which takes
-    each block's flat rows and may format them in a writer process. Exact-mode
-    metrics are only computed at emit points.
+    its own buffering. Exact-mode metrics are only computed at emit points.
 
     ``source`` is a binary file (anything with ``read1``), decoded as strict
     UTF-8 with universal newlines, or any iterable of text lines. A binary
@@ -154,35 +183,36 @@ def run_stream(
     An iterable of lines is taken line by line, through the estimator's
     ``observe`` and ``metrics`` and the interner's ``intern`` alone. Rows,
     errors and the estimator's state are those that reading line by line
-    gives.
+    gives. Everything runs in the calling process. The ``run`` command runs
+    the same loop through ``_run``, and may fork for its rows or for the
+    second half of a window run (see ``_RowWriter`` and ``_Split``).
     """
-    if isinstance(out, _RowWriter):
-        emit = out.write
-    else:
-        write = out.write
-        text = _ROWS[cfg.metric]
+    write = out.write
+    text = _ROWS[cfg.metric]
 
-        def emit(rows: List[float]) -> None:
-            write(text(rows))
+    def emit(rows: List[float]) -> None:
+        write(text(rows))
 
-    emit_every = cfg.emit_every
-    csv = cfg.input_format == "csv"
-    column = cfg.csv_column
+    return _run(cfg, source, emit, estimator, interner, start_index)
+
+
+def _run(
+    cfg: RunConfig,
+    source: Union[BinaryIO, Iterable[str]],
+    emit: Callable[[List[float]], None],
+    estimator: Estimator,
+    interner: Interner,
+    start_index: int,
+    split: Optional["_Split"] = None,
+) -> RunSummary:
+    """run_stream, with each block's flat rows given to ``emit``; a binary
+    ``source`` takes its lines from ``split`` past the split line, if one is
+    given."""
     events = start_index
-    if hasattr(source, "read1"):
-        observe_block = estimator.observe_block
-        intern_many = interner.intern_many
-        for block in _byte_blocks(source):  # type: ignore[arg-type]
-            labels = _block_labels(block, csv, column)
-            good = len(labels)
-            if good:
-                rows = observe_block(intern_many(labels), events, emit_every)
-                if rows:
-                    emit(rows)
-                events += good
-            if good < len(block):
-                raise _bad_line(events - start_index + 1, block[good], csv, column)
-    else:
+    if not hasattr(source, "read1"):
+        emit_every = cfg.emit_every
+        csv = cfg.input_format == "csv"
+        column = cfg.csv_column
         observe = estimator.observe
         metrics = estimator.metrics
         intern = interner.intern
@@ -199,10 +229,47 @@ def run_stream(
             events += 1
             if events % emit_every == 0:
                 emit([events - 1, *metrics()])
-    if events > start_index and events % emit_every:
+    else:
+        blocks = _byte_blocks(source)  # type: ignore[arg-type]
+        if split is None:
+            events = _observe_blocks(cfg, blocks, emit, estimator, interner, events, start_index)
+        else:
+            events = split.run(cfg, blocks, emit, estimator, interner, start_index)
+    if events > start_index and events % cfg.emit_every:
         emit([events - 1, *estimator.metrics()])
     gini_value, entropy_value = estimator.metrics()
     return RunSummary(events=events, classes=len(interner), gini=gini_value, entropy=entropy_value)
+
+
+def _observe_blocks(
+    cfg: RunConfig,
+    blocks: Iterable[List[str]],
+    emit: Callable[[List[float]], None],
+    estimator: Estimator,
+    interner: Interner,
+    events: int,
+    start_index: int,
+) -> int:
+    """Observe the lines of ``blocks`` as the events after the first
+    ``events``, giving each block's rows to ``emit``; returns the events
+    seen. A line without a label raises InputError after the rows before it,
+    numbered from event ``start_index``."""
+    emit_every = cfg.emit_every
+    csv = cfg.input_format == "csv"
+    column = cfg.csv_column
+    observe_block = estimator.observe_block
+    intern_many = interner.intern_many
+    for block in blocks:
+        labels = _block_labels(block, csv, column)
+        good = len(labels)
+        if good:
+            rows = observe_block(intern_many(labels), events, emit_every)
+            if rows:
+                emit(rows)
+            events += good
+        if good < len(block):
+            raise _bad_line(events - start_index + 1, block[good], csv, column)
+    return events
 
 
 def _byte_blocks(source: BinaryIO) -> Iterator[List[str]]:
@@ -232,6 +299,20 @@ def _byte_blocks(source: BinaryIO) -> Iterator[List[str]]:
     last = "".join(head)
     if last:
         yield [last]
+
+
+def _first_lines(blocks: Iterator[List[str]], count: int, rest: List[List[str]]) -> Iterator[List[str]]:
+    """The first ``count`` lines of ``blocks``, in its blocks. The lines after
+    them in the block that ends them are appended to ``rest`` as one block,
+    and no block after that one is drawn."""
+    for block in blocks:
+        if len(block) < count:
+            count -= len(block)
+            yield block
+            continue
+        yield block[:count]
+        rest.append(block[count:])
+        return
 
 
 def _block_labels(block: List[str], csv: bool, column: int) -> List[str]:
@@ -439,18 +520,24 @@ class _RowWriter:
 
     def write(self, rows: List[float]) -> None:
         """Write the flat rows ``[index, gini, entropy, …]``."""
-        pipe = self.pipe
-        if pipe is not None:
-            data = marshal.dumps(rows)
-            pipe.write(len(data).to_bytes(4, "little"))
-            pipe.write(data)
-            pipe.flush()
+        if self.pipe is not None:
+            self.write_frame(marshal.dumps(rows))
             return
         left = self.left - len(rows)
         self.out.write(self.text(rows))
         if left <= 0 < self.left:
             self._fork()
         self.left = left
+
+    def write_frame(self, data: bytes) -> None:
+        """Write the flat rows of ``data``, a marshal frame; past the fork
+        it goes to the writer as it is."""
+        pipe = self.pipe
+        if pipe is None:
+            self.write(marshal.loads(data))
+            return
+        _put_frame(pipe, data)
+        pipe.flush()
 
     def _fork(self) -> None:
         """Start the writer; if the fork fails, the rows stay in process."""
@@ -500,15 +587,9 @@ def _write_frames(pipe: int, out: TextIO, text: Callable[[List[float]], str]) ->
     process with one error line and exit code 2."""
     code = EXIT_INPUT
     try:
-        read = open(pipe, "rb").read
         write = out.write
         loads = marshal.loads
-        while True:
-            head = read(4)
-            size = int.from_bytes(head, "little")
-            data = read(size)
-            if len(head) < 4 or len(data) < size:
-                break
+        for data in _frames(open(pipe, "rb").read):
             write(text(loads(data)))
         out.flush()
         code = EXIT_OK
@@ -519,6 +600,297 @@ def _write_frames(pipe: int, out: TextIO, text: Callable[[List[float]], str]) ->
             with contextlib.suppress(OSError):
                 sys.stderr.flush()
         os._exit(code)
+
+
+def _put_frame(out: BinaryIO, data: bytes) -> None:
+    """Write the frame ``data`` to ``out`` after its 4-byte little-endian
+    length."""
+    out.write(len(data).to_bytes(4, "little"))
+    out.write(data)
+
+
+def _frames(read: Callable[[int], bytes]) -> Iterator[bytes]:
+    """The frames that ``read`` gives, each after its 4-byte little-endian
+    length, up to the end of the pipe or a frame it cuts short."""
+    while True:
+        head = read(4)
+        size = int.from_bytes(head, "little")
+        data = read(size)
+        if len(head) < 4 or len(data) < size:
+            return
+        yield data
+
+
+class _Split:
+    """A window run over a regular file, observed as two halves on two cores.
+
+    The split line m is the first line of the run that starts past the
+    middle byte of its input. A second process, forked before the run reads
+    anything, reads the input from line m - w on with ``os.pread``, which
+    leaves the shared file offset alone. With a fresh estimator and interner
+    it observes those w lines without rows, which fills its window as the
+    run's stands at line m, and then every line to the end. The window's
+    values depend on its contents alone, so its rows are the run's. They
+    come through a pipe as marshal frames of flat rows, as _RowWriter sends
+    them, then an empty frame and a frame holding its end: ``(events, its
+    labels in first-seen order, its window's ids)``, the message of the
+    InputError or RefreshError that stopped it, or None if it refused the
+    input, which it does before any row if the bytes past line m - w are not
+    valid UTF-8.
+
+    run() observes the run's lines up to line m in process, then forwards
+    the second process's rows and adopts its end, so that the rows, errors
+    and state are those of one process. close() kills and waits for the
+    second process if run() has not waited for it.
+    """
+
+    def __init__(
+        self, pid: int, pipe: BinaryIO, fd: int, lines: int, since: int, forward: Callable[[bytes], None]
+    ) -> None:
+        self.pid = pid
+        self.pipe = pipe
+        self.fd = fd
+        self.lines = lines  # m
+        self.since = since  # the estimator's events_since_refresh before the run
+        self.forward = forward
+
+    @classmethod
+    def start(
+        cls, cfg: RunConfig, source: BinaryIO, estimator: Estimator, start_index: int, forward: Callable[[bytes], None]
+    ) -> Optional["_Split"]:
+        """Fork the second process of the window run that reads ``source``,
+        with rows going to ``forward`` as frames; None, and no fork, if the
+        run stays in one process (see _SPLIT_EVERY and _split_point)."""
+        if cfg.mode != "window" or cfg.emit_every < _SPLIT_EVERY or not hasattr(os, "fork"):
+            return None
+        fd = source.fileno()
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            return None
+        capacity, period = estimator.capacity, estimator.refresh_period  # type: ignore[union-attr]
+        point = _split_point(fd, source.tell(), info.st_size, capacity)
+        if point is None:
+            return None
+        lines, offset = point
+        read_end, write_end = os.pipe()
+        _widen(write_end)
+        try:
+            pid = os.fork()
+        except OSError:  # such as EAGAIN at a process limit
+            os.close(read_end)
+            os.close(write_end)
+            return None
+        if pid == 0:
+            os.close(read_end)
+            _second_half(cfg, fd, offset, capacity, period, start_index + lines, start_index, write_end)
+        os.close(write_end)
+        since = estimator.events_since_refresh  # type: ignore[union-attr]
+        return cls(pid, open(read_end, "rb"), fd, lines, since, forward)
+
+    def run(
+        self,
+        cfg: RunConfig,
+        blocks: Iterator[List[str]],
+        emit: Callable[[List[float]], None],
+        estimator: Estimator,
+        interner: Interner,
+        start_index: int,
+    ) -> int:
+        """Observe ``blocks`` up to line m, then take the rest of the run
+        from the second process; returns the events seen. If it refused the
+        input, the rest of ``blocks`` is observed here."""
+        rest: List[List[str]] = []
+        first = _first_lines(blocks, self.lines, rest)
+        events = _observe_blocks(cfg, first, emit, estimator, interner, start_index, start_index)
+        if events - start_index == self.lines:
+            ended = self._join(estimator, interner, start_index)  # type: ignore[arg-type]
+            if ended is not None:
+                return ended
+        return _observe_blocks(cfg, chain(rest, blocks), emit, estimator, interner, events, start_index)
+
+    def _join(self, estimator: SlidingWindowEstimator, interner: Interner, start_index: int) -> Optional[int]:
+        """Forward the second process's rows and wait for it; then raise its
+        InputError, or adopt its end and return the run's events, or return
+        None if it refused the input."""
+        frames = _frames(self.pipe.read)
+        for data in frames:
+            if not data:
+                break
+            self.forward(data)
+        end = next(frames, None)
+        code = self._reap()
+        if end is None:
+            raise InputError(
+                f"the run's second process was ended by signal {-code}"
+                if code < 0
+                else f"the run's second process exited with code {code}"
+            )
+        result = marshal.loads(end)
+        if result is None:
+            return None
+        if isinstance(result, str):
+            raise InputError(result)
+        events, labels, window = result
+        ids = interner.intern_many(labels)
+        # In blocks, as the run observes its lines, so that no count
+        # outgrows those of a run.
+        window = [ids[i] for i in window]
+        for first in range(0, len(window), _BLOCK):
+            estimator.observe_many(window[first : first + _BLOCK])
+        seen = self.since + events - start_index
+        period = estimator.refresh_period
+        estimator.events_since_refresh = seen % period if period else seen
+        # Where a run that read the input to its end leaves a shared offset,
+        # as that of a stdin redirected from the file.
+        os.lseek(self.fd, 0, os.SEEK_END)
+        return events
+
+    def _reap(self) -> int:
+        pid, self.pid = self.pid, 0
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def close(self) -> None:
+        if self.pid:
+            os.kill(self.pid, 9)  # SIGKILL
+            self._reap()
+        self.pipe.close()
+
+    def __enter__(self) -> "_Split":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+
+def _widen(pipe: int) -> None:
+    """Let ``pipe`` hold up to _PIPE bytes where the platform allows it, so
+    that the second process runs that far ahead of the run."""
+    try:
+        import fcntl
+
+        fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, _PIPE)
+    except (ImportError, AttributeError, OSError):  # not Linux, or over the user's limit
+        pass
+
+
+def _split_point(fd: int, begin: int, end: int, capacity: int) -> Optional[Tuple[int, int]]:
+    """Where a window run of ``capacity`` over the bytes ``begin`` to ``end``
+    of the regular file ``fd`` splits: the number m of lines before the
+    split line, and the offset of line m - capacity. None if the run stays
+    in one process: if no line starts past the middle byte, if a "\r" comes
+    before the split line, which would make the decoder's lines differ from
+    the newlines counted, or if fewer than 3 * capacity + _SPLIT_MIN lines
+    come before it."""
+    middle = (begin + end) // 2
+    least = 3 * capacity + _SPLIT_MIN
+    if middle - begin < least:  # every line holds its "\n"
+        return None
+    lines = 0
+    pos = begin
+    while True:
+        data = os.pread(fd, _SCAN, pos)
+        cut = data.find(b"\n", max(middle - pos, 0)) + 1
+        size = cut or len(data)
+        if not size or data.find(b"\r", 0, size) >= 0:
+            return None
+        lines += data.count(b"\n", 0, size)
+        pos += size
+        if cut:
+            break
+    if lines < least:
+        return None
+    # Line m - capacity starts after the (capacity + 1)-th "\n" before pos.
+    need = capacity + 1
+    while pos > begin:
+        size = min(_SCAN, pos - begin)
+        pos -= size
+        data = os.pread(fd, size, pos)
+        found = data.count(b"\n")
+        if found >= need:
+            for _ in range(need):
+                size = data.rfind(b"\n", 0, size)
+            return lines, pos + size + 1
+        need -= found
+    return lines, begin
+
+
+class _Pread:
+    """The bytes of ``fd`` from ``offset`` on, read with ``os.pread``."""
+
+    def __init__(self, fd: int, offset: int) -> None:
+        self.fd = fd
+        self.offset = offset
+
+    def read1(self, size: int) -> bytes:
+        data = os.pread(self.fd, size, self.offset)
+        self.offset += len(data)
+        return data
+
+
+def _second_half(
+    cfg: RunConfig, fd: int, offset: int, capacity: int, period: int, first: int, start_index: int, pipe: int
+) -> NoReturn:
+    """The second process of a split run: observe the lines of ``fd`` from
+    ``offset`` on, the first ``capacity`` of them without rows and the rest
+    as the events after the first ``first``, and send their rows and end
+    through ``pipe`` as _Split describes; then exit."""
+    code = EXIT_INPUT
+    try:
+        with open(pipe, "wb") as out:
+            end: object = None
+            if _valid_utf8(fd, offset):
+                blocks = _byte_blocks(_Pread(fd, offset))  # type: ignore[arg-type]
+                estimator = SlidingWindowEstimator(capacity, period)
+                end = _observe_rest(
+                    cfg, blocks, lambda rows: _put_frame(out, marshal.dumps(rows)), estimator, first, start_index
+                )
+            _put_frame(out, b"")
+            _put_frame(out, marshal.dumps(end))
+        code = EXIT_OK
+    finally:
+        os._exit(code)
+
+
+def _valid_utf8(fd: int, offset: int) -> bool:
+    """Whether the bytes of ``fd`` from ``offset`` on are valid UTF-8."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    try:
+        while True:
+            data = os.pread(fd, _SCAN, offset)
+            decode(data, not data)
+            if not data:
+                return True
+            offset += len(data)
+    except UnicodeDecodeError:
+        return False
+
+
+def _observe_rest(
+    cfg: RunConfig,
+    blocks: Iterator[List[str]],
+    emit: Callable[[List[float]], None],
+    estimator: SlidingWindowEstimator,
+    first: int,
+    start_index: int,
+) -> object:
+    """The second process's end (see _Split) after observing ``blocks``:
+    the window's capacity of lines without rows, then the rest as the
+    events after the first ``first``, their rows given to ``emit``."""
+    interner = Interner()
+    csv = cfg.input_format == "csv"
+    rest: List[List[str]] = []
+    for block in _first_lines(blocks, estimator.capacity, rest):
+        labels = _block_labels(block, csv, cfg.csv_column)
+        if len(labels) < len(block):
+            return None  # the first process stops at this line
+        estimator.observe_many(interner.intern_many(labels))
+    if len(estimator) < estimator.capacity:
+        return None  # the input is shorter than it was when it was split
+    try:
+        events = _observe_blocks(cfg, chain(rest, blocks), emit, estimator, interner, first, start_index)
+    except (InputError, RefreshError) as exc:
+        return str(exc)
+    return events, list(interner), list(estimator.window)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -538,9 +910,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             out = stack.enter_context(open(args.output, "w", encoding="utf-8", newline="\n"))
         rows = stack.enter_context(_RowWriter(out, cfg.metric))
-        summary = run_stream(
-            cfg, source, rows, start.estimator, start.interner, start.events_seen  # type: ignore[arg-type]
-        )
+        split = _Split.start(cfg, source, start.estimator, start.events_seen, rows.write_frame)
+        if split is not None:
+            stack.enter_context(split)
+        summary = _run(cfg, source, rows.write, start.estimator, start.interner, start.events_seen, split)
         rows.close()
         out.flush()
         if args.save_state is not None:
@@ -587,7 +960,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UnicodeDecodeError as exc:
         _say("error", f"input is not valid UTF-8: {exc}")
         return EXIT_INPUT
-    except (InputError, SnapshotError, OSError) as exc:
+    except (InputError, SnapshotError, RefreshError, OSError) as exc:
         _say("error", str(exc))
         return EXIT_INPUT
     except SystemExit as exc:  # argparse --help, or a failed row writer's code

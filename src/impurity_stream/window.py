@@ -10,7 +10,7 @@ from typing import Deque, Dict, List, Mapping, Sequence, Tuple
 
 from .core import Label, state_fields, unsigned_array
 
-__all__ = ["SlidingWindowEstimator"]
+__all__ = ["SlidingWindowEstimator", "RefreshError"]
 
 # The window packs t and s2 into one int, t << _SHIFT | s2. A deque holds
 # fewer than 2**63 items, so s2 <= n**2 < 2**126 never reaches the t bits.
@@ -46,6 +46,10 @@ def _grow_steps(count: int) -> List[int]:
     return _STEP
 
 
+class RefreshError(RuntimeError):
+    """A window's running sums differ from the sums of its class counts."""
+
+
 class SlidingWindowEstimator:
     """Both impurity metrics of the last ``capacity`` labels, in O(1) per event.
 
@@ -69,8 +73,8 @@ class SlidingWindowEstimator:
     alone.
 
     ``refresh_period`` > 0 calls refresh() every that-many events. It
-    rebuilds ``sums`` from the counts (O(ids)), which gives the same int; 0
-    disables it.
+    rebuilds the sums from the counts (O(ids)) and checks that they equal
+    ``sums``, which they do by construction; 0 disables it.
 
     Single-writer: observe() mutates in place and is not safe for concurrent
     use. Treat ``window`` and ``counts`` as read-only.
@@ -227,15 +231,23 @@ class SlidingWindowEstimator:
         return rows
 
     def refresh(self) -> None:
-        """Rebuild ``sums`` from the window's class counts, and grow the step
+        """Check ``sums`` against the sums rebuilt from the window's class
+        counts, and start a new refresh period. Each update keeps them equal,
+        so a difference is a fault in an update: RefreshError, with the state
+        left as it was."""
+        if self._sums_of_counts() != self.sums:
+            raise RefreshError("the window's sums do not match its class counts at a refresh")
+        self.events_since_refresh = 0
+
+    def _sums_of_counts(self) -> int:
+        """``sums`` rebuilt from the window's class counts; grows the step
         table to the largest count, which a window loaded from a state needs
         before its first eviction."""
         # Many classes share a count, so sum over the distinct counts; a
         # count of 0 adds nothing.
         tally = Counter(self.counts)
-        self.sums = sum(((_scaled_plog2(c) << _SHIFT) + c * c) * k for c, k in tally.items())
         _grow_steps(max(tally, default=0))
-        self.events_since_refresh = 0
+        return sum(((_scaled_plog2(c) << _SHIFT) + c * c) * k for c, k in tally.items())
 
     def metrics(self) -> Tuple[float, float]:
         """Current (gini, entropy); O(1)."""
@@ -296,6 +308,6 @@ class SlidingWindowEstimator:
         counts = estimator.counts = [0] * len(ids)
         for class_id in estimator.window:
             counts[class_id] += 1
-        estimator.refresh()
+        estimator.sums = estimator._sums_of_counts()
         estimator.events_since_refresh = since
         return estimator

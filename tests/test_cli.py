@@ -1349,6 +1349,315 @@ def _eagain():
     raise BlockingIOError(11, "Resource temporarily unavailable")
 
 
+# A split run's window, refresh period and input length: the lines before
+# the middle byte hold more than the window plus the split's minimum.
+_W = ["--window-size", "500", "--refresh-every", "1000"]
+_LINES = 40000
+
+
+def _split_file(path, count=_LINES, fmt="lines", bad_line=None):
+    """``count`` labels, one a line, as ``lines`` of 5 bytes or as the third
+    column of ``csv``, with line ``bad_line`` (counted from 1) left empty.
+    The labels of line i are drawn from 50 + i // 1000 classes, so that
+    classes are first seen in both halves of a split run."""
+    rng = random.Random(count)
+    template = "%d,x,c%03d\n" if fmt == "csv" else "%.0sc%03d\n"
+    lines = [template % (index, rng.randrange(50 + index // 1000)) for index in range(count)]
+    if bad_line is not None:
+        lines[bad_line - 1] = "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def _split_line(data):
+    """The number m of lines before the first line that starts past the
+    middle byte of ``data``, where a split run splits."""
+    return data.count(b"\n", 0, data.index(b"\n", len(data) // 2) + 1)
+
+
+class TestSplitRun:
+    """A window run over a regular file, with at most one row every 4
+    events, observes the lines past its middle in a second process: the
+    rows, errors, exit code and state are those of the same run in one
+    process."""
+
+    def _runs(self, tmp_path, monkeypatch, capsys, argv, stdin=None):
+        """main(argv) with --output and --save-state, as it runs and with no
+        os.fork: (exit code, rows, stderr, state, stdin offset, forks) of
+        each, which but for the forks must be equal."""
+        out, state = tmp_path / "out.tsv", tmp_path / "state.snap"
+        argv = [*argv, "--output", str(out), "--save-state", str(state)]
+        runs = []
+        for fork in (True, False):
+            pids = []
+            with monkeypatch.context() as patch:
+                if fork:
+                    real = os.fork
+                    patch.setattr(os, "fork", lambda: pids.append(real()) or pids[-1])
+                else:
+                    patch.delattr(os, "fork")
+                out.unlink(missing_ok=True)
+                state.write_bytes(b"old state\n")
+                saved = os.dup(0)
+                try:
+                    if stdin is not None:
+                        with open(stdin, "rb") as source:
+                            os.dup2(source.fileno(), 0)
+                    code = main(argv)
+                    # Where the run leaves stdin's offset, which a file
+                    # descriptor shared with a later process keeps.
+                    offset = os.lseek(0, 0, os.SEEK_CUR) if stdin is not None else None
+                finally:
+                    os.dup2(saved, 0)
+                    os.close(saved)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            rows = out.read_bytes() if out.exists() else None
+            runs.append((code, rows, captured.err, state.read_bytes(), offset, len(pids)))
+        split, alone = runs
+        assert split[:5] == alone[:5]
+        assert alone[5] == 0
+        return split[:4] + split[5:]
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_each_format_and_metric(self, tmp_path, monkeypatch, capsys, fmt, metric):
+        labels = _split_file(tmp_path / "labels.txt", fmt=fmt)
+        argv = ["run", "--mode", "window", *_W, "--metric", metric, "--emit-every", "7", "--input", str(labels)]
+        if fmt == "csv":
+            argv += ["--format", "csv", "--column", "2"]
+        code, rows, err, _, forks = self._runs(tmp_path, monkeypatch, capsys, argv)
+        assert (code, forks) == (EXIT_OK, 1)
+        assert rows.count(b"\n") == -(-_LINES // 7)
+        assert err.startswith(f"impurity-stream: INFO: events={_LINES} ")
+
+    @pytest.mark.parametrize(
+        "every,lines,forks",
+        # At --emit-every 4 over 4 * _LINES lines the writer starts in the
+        # first half, and over 2 * _LINES while the second half's rows are
+        # forwarded: three processes. Rows more often than every 4 events,
+        # with the writer (1) or without it (3), keep the run in one process.
+        [(1, _LINES, 1), (3, _LINES, 0), (4, 4 * _LINES, 2), (4, 2 * _LINES, 2), (7, _LINES, 1), (1000, _LINES, 1)],
+    )
+    def test_each_cadence(self, tmp_path, monkeypatch, capsys, every, lines, forks):
+        labels = _split_file(tmp_path / "labels.txt", lines)
+        argv = ["run", "--mode", "window", *_W, "--emit-every", str(every), "--input", str(labels)]
+        code, rows, _, _, forked = self._runs(tmp_path, monkeypatch, capsys, argv)
+        assert (code, forked) == (EXIT_OK, forks)
+        assert rows.count(b"\n") == -(-lines // every)
+
+    @pytest.mark.parametrize("on_boundary", [True, False], ids=["on-boundary", "off-boundary"])
+    def test_split_line_and_emit_boundary(self, tmp_path, monkeypatch, capsys, on_boundary):
+        """Whether or not the first half's last event is emitted, the second
+        half's first row is the next the cadence gives."""
+        labels = _split_file(tmp_path / "labels.txt")
+        m = _split_line(labels.read_bytes())
+        every = next(e for e in range(4, m) if (m % e == 0) == on_boundary)
+        argv = ["run", "--mode", "window", *_W, "--emit-every", str(every), "--input", str(labels)]
+        code, rows, _, _, forks = self._runs(tmp_path, monkeypatch, capsys, argv)
+        assert (code, forks) == (EXIT_OK, 1)
+        indexes = [int(row.split(b"\t")[0]) for row in rows.splitlines()]
+        assert (m - 1 in indexes) == on_boundary
+
+    def test_resumed_run_splits(self, tmp_path, monkeypatch, capsys):
+        """A run resumed from a state splits after its own window's worth of
+        lines, and saves the state that one process saves."""
+        first = _split_file(tmp_path / "first.txt", 5000)
+        resumed = tmp_path / "resumed.snap"
+        assert main(["run", "--mode", "window", *_W, "--input", str(first), "--save-state", str(resumed)]) == EXIT_OK
+        capsys.readouterr()
+        labels = _split_file(tmp_path / "labels.txt")
+        argv = ["run", "--mode", "window", "--emit-every", "7", "--load-state", str(resumed), "--input", str(labels)]
+        code, rows, _, state, forks = self._runs(tmp_path, monkeypatch, capsys, argv)
+        assert (code, forks) == (EXIT_OK, 1)
+        assert int(rows.splitlines()[0].split(b"\t")[0]) == 5000 + 7 - 5000 % 7 - 1
+        whole = tmp_path / "whole.txt"
+        whole.write_bytes(first.read_bytes() + labels.read_bytes())
+        alone = tmp_path / "alone.snap"
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "fork")
+            argv = ["run", "--mode", "window", *_W, "--input", str(whole), "--output", os.devnull]
+            assert main([*argv, "--save-state", str(alone)]) == EXIT_OK
+        capsys.readouterr()
+        assert state == alone.read_bytes()
+
+    @pytest.mark.parametrize("where", ["before", "warm-up", "after"])
+    def test_a_bad_line(self, tmp_path, monkeypatch, capsys, where):
+        """A bad line before the split line stops the first half; one among
+        the second half's window lines, which it observes without rows, too;
+        one past it ends the run after the second half's rows before it."""
+        m = _split_line(_split_file(tmp_path / "labels.txt").read_bytes())
+        bad_line = {"before": 5000, "warm-up": m - 10, "after": m + 5000}[where]
+        labels = _split_file(tmp_path / "labels.txt", bad_line=bad_line)
+        argv = ["run", "--mode", "window", *_W, "--emit-every", "4", "--input", str(labels)]
+        code, rows, err, state, forks = self._runs(tmp_path, monkeypatch, capsys, argv)
+        assert (code, forks) == (EXIT_INPUT, 1)
+        assert err == f"impurity-stream: error: line {bad_line}: empty label\n"
+        assert rows.count(b"\n") == (bad_line - 1) // 4
+        assert state == b"old state\n"
+
+    @pytest.mark.parametrize("where", ["split-chunk", "past-it"])
+    def test_a_bad_utf8_byte(self, tmp_path, monkeypatch, capsys, where):
+        """A bad byte in the chunk that holds the split line fails that read
+        in the first half; one past it makes the second process refuse the
+        input, and the first half reads on alone to the error."""
+        data = bytearray(_split_file(tmp_path / "labels.txt").read_bytes())
+        m = _split_line(data)
+        start = data.index(b"\n", len(data) // 2) + 1  # line m, 5 bytes a line
+        at = {"split-chunk": start + 5, "past-it": 3 * len(data) // 4}[where]
+        assert (at // 8192 == start // 8192) == (where == "split-chunk")
+        data[at] = 0xFF
+        (tmp_path / "labels.txt").write_bytes(data)
+        argv = ["run", "--mode", "window", *_W, "--emit-every", "1000", "--input", str(tmp_path / "labels.txt")]
+        code, rows, err, state, forks = self._runs(tmp_path, monkeypatch, capsys, argv)
+        assert (code, forks) == (EXIT_INPUT, 1)
+        assert err.startswith("impurity-stream: error: input is not valid UTF-8: ") and err.count("\n") == 1
+        assert rows.count(b"\n") == (at // 8192 * 8192 // 5) // 1000
+        assert state == b"old state\n"
+        assert m < at // 5
+
+    def test_stdin_from_a_regular_file_splits(self, tmp_path, monkeypatch, capsys):
+        labels = _split_file(tmp_path / "labels.txt")
+        argv = ["run", "--mode", "window", *_W, "--emit-every", "7"]
+        code, rows, _, _, forks = self._runs(tmp_path, monkeypatch, capsys, argv, stdin=labels)
+        assert (code, forks) == (EXIT_OK, 1)
+        assert rows == self._runs(tmp_path, monkeypatch, capsys, [*argv, "--input", str(labels)])[1]
+
+    @pytest.mark.parametrize(
+        "case", ["crlf", "lone-cr", "shorter-than-window", "window-of-a-tenth", "stdin-pipe", "fading", "exact"]
+    )
+    def test_inputs_that_never_fork(self, tmp_path, monkeypatch, capsys, case):
+        """A "\\r" before the split line, fewer lines before it than three
+        windows and 16384 more, a pipe and any mode but window keep the run
+        in one process: the rows are run_stream's."""
+        data = _split_file(tmp_path / "labels.txt").read_bytes()
+        argv = ["run", "--mode", "window", *_W]
+        estimator = SlidingWindowEstimator(500, 1000)
+        if case == "crlf":
+            data = data.replace(b"\n", b"\r\n")
+        elif case == "lone-cr":
+            data = data[:1003] + b"\r" + data[1004:]  # a line ended by "\r" alone
+        elif case == "shorter-than-window":
+            argv[4] = str(_LINES + 1)
+            estimator = SlidingWindowEstimator(_LINES + 1, 1000)
+        elif case == "window-of-a-tenth":
+            argv[4] = str(_LINES // 10)
+            estimator = SlidingWindowEstimator(_LINES // 10, 1000)
+        elif case == "fading":
+            argv[2:] = ["fading", "--alpha", "0.999"]
+            estimator = FadingEstimator(0.999)
+        elif case == "exact":
+            argv[2:] = ["exact"]
+            estimator = ExactEstimator()
+        labels = tmp_path / "labels.txt"
+        labels.write_bytes(data)
+        cfg = RunConfig(mode=argv[2], emit_every=1000)
+        expected, _ = _in_process_rows(cfg, labels, estimator)
+        assert expected.count(b"\n") == _LINES // 1000
+        pids = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: pids.append(real()) or pids[-1])
+        argv += ["--emit-every", "1000", "--output", str(tmp_path / "out.tsv")]
+        saved = os.dup(0)
+        try:
+            if case == "stdin-pipe":
+                read_end, write_end = os.pipe()
+                feeder = threading.Thread(target=lambda: (os.write(write_end, data), os.close(write_end)))
+                feeder.start()
+                os.dup2(read_end, 0)
+                os.close(read_end)
+                assert main(argv) == EXIT_OK
+                feeder.join()
+            else:
+                assert main([*argv, "--input", str(labels)]) == EXIT_OK
+        finally:
+            os.dup2(saved, 0)
+            os.close(saved)
+        capsys.readouterr()
+        assert pids == []
+        assert (tmp_path / "out.tsv").read_bytes() == expected
+
+    def test_a_failed_fork_runs_in_one_process(self, tmp_path, monkeypatch, capsys):
+        labels = _split_file(tmp_path / "labels.txt")
+        cfg = RunConfig(mode="window", emit_every=7)
+        expected, _ = _in_process_rows(cfg, labels, SlidingWindowEstimator(500, 1000))
+        monkeypatch.setattr(os, "fork", _eagain)
+        argv = ["run", "--mode", "window", *_W, "--emit-every", "7", "--input", str(labels)]
+        assert main([*argv, "--output", str(tmp_path / "out.tsv")]) == EXIT_OK
+        capsys.readouterr()
+        assert (tmp_path / "out.tsv").read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "end,err",
+        [
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), "the run's second process was ended by signal 9"),
+            (lambda: os._exit(3), "the run's second process exited with code 3"),
+        ],
+        ids=["killed", "exit-3"],
+    )
+    def test_the_second_process_ending_early_is_one_error_line(self, tmp_path, monkeypatch, capsys, end, err):
+        labels = _split_file(tmp_path / "labels.txt")
+        state = tmp_path / "state.snap"
+        state.write_bytes(b"old state\n")
+        # The forked second process runs this in place of its half.
+        monkeypatch.setattr("impurity_stream.cli._second_half", lambda *args: end())
+        argv = ["run", "--mode", "window", *_W, "--emit-every", "7", "--input", str(labels), "--save-state", str(state)]
+        assert main([*argv, "--output", str(tmp_path / "out.tsv")]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"impurity-stream: error: {err}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.txt", "out.tsv", "state.snap"]
+        assert state.read_bytes() == b"old state\n"
+
+    @pytest.mark.parametrize("half", ["first", "second"])
+    def test_a_failed_refresh_is_one_error_line(self, tmp_path, monkeypatch, capsys, half):
+        """Each half checks its sums at its own refreshes; a mismatch in
+        either ends the run with one line, exit 2 and no state saved."""
+        labels = _split_file(tmp_path / "labels.txt")
+        state = tmp_path / "state.snap"
+        state.write_bytes(b"old state\n")
+        first = os.getpid()
+        real = SlidingWindowEstimator._sums_of_counts
+        wrong = (lambda pid: True) if half == "first" else (lambda pid: pid != first)
+        monkeypatch.setattr(SlidingWindowEstimator, "_sums_of_counts", lambda self: real(self) + wrong(os.getpid()))
+        argv = ["run", "--mode", "window", *_W, "--emit-every", "4", "--input", str(labels), "--save-state", str(state)]
+        assert main([*argv, "--output", str(tmp_path / "out.tsv")]) == EXIT_INPUT
+        message = "the window's sums do not match its class counts at a refresh"
+        assert capsys.readouterr().err == f"impurity-stream: error: {message}\n"
+        assert state.read_bytes() == b"old state\n"
+        # The first half's first refresh is at line 1000; the second half's
+        # past the split line.
+        rows = (tmp_path / "out.tsv").read_bytes().count(b"\n")
+        assert 4 * rows < 1000 if half == "first" else 4 * rows >= _split_line(labels.read_bytes())
+
+    def test_a_killed_run_leaves_no_process(self, tmp_path):
+        """Killed while its rows fill stdout, the run leaves its row writer and
+        second process to meet the ends of their pipes: once stdout is read,
+        every process that holds it has exited."""
+        labels = _split_file(tmp_path / "labels.txt", 10 * _LINES)
+        argv = ["run", "--mode", "window", *_W, "--emit-every", "4", "--input", str(labels)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "impurity_stream", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=_env(),
+        )
+        try:
+            # Nothing reads stdout yet, so the run stops in its first half.
+            assert proc.stdout.peek(1)
+            time.sleep(0.5)
+            assert proc.poll() is None
+            proc.kill()
+            assert proc.wait(timeout=120) == -9
+            chunks = []
+            reader = threading.Thread(target=lambda: chunks.extend(iter(proc.stdout.read1, b"")), daemon=True)
+            reader.start()
+            reader.join(timeout=120)
+            assert not reader.is_alive(), "stdout still open after the run was killed"
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
+
 class TestExternalEntryPoints:
     def test_python_dash_m(self):
         proc = subprocess.run(

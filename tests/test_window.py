@@ -13,6 +13,7 @@ from conftest import bits
 from impurity_stream import (
     EntropyState,
     GiniState,
+    RefreshError,
     SlidingWindowEstimator,
     entropy_exact,
     gini_exact,
@@ -273,6 +274,27 @@ class TestRefresh:
         gini_value, entropy_value = est.metrics()
         assert gini_value == GiniState.from_counts(counts).value
         assert entropy_value == pytest.approx(EntropyState.from_counts(counts).value, abs=1e-15)
+
+    def test_refresh_checks_the_sums(self):
+        """A refresh compares the running sums with those of the counts and
+        changes nothing when they differ."""
+        est = feed(SlidingWindowEstimator(4, refresh_period=100), [0, 1, 1, 2, 0])
+        est.sums += 1
+        sums, since = est.sums, est.events_since_refresh
+        with pytest.raises(RefreshError, match="do not match"):
+            est.refresh()
+        assert (est.sums, est.events_since_refresh) == (sums, since)
+
+    @pytest.mark.parametrize("period", [1, 7, 64])
+    def test_every_refresh_of_a_blocked_stream_passes(self, period):
+        """observe_many's evictions keep the sums those of the counts, which
+        every refresh checks: a block that lost an eviction's step fails here."""
+        rng = random.Random(period)
+        labels = [min(int(rng.paretovariate(1.0)), 40) for _ in range(3000)]
+        est = SlidingWindowEstimator(50, refresh_period=period)
+        for piece in random_pieces(rng, labels, [1, 3, 20, 64, 200]):
+            est.observe_many(piece)
+        assert est.sums == feed(SlidingWindowEstimator(50), labels).sums
 
 
 def same_state(batched, folded):
